@@ -650,9 +650,10 @@ let streaming_section () =
     && retained.messages = streamed.messages
     && retained.admissible = streamed.admissible)
 
-(* A small retention-off closed-loop run emitted as JSON on stdout, for
-   the CI bench-smoke artifact (BENCH_*.json): perf trajectory starts
-   accumulating without dragging the full benchmark suite into CI. *)
+(* A small retention-off closed-loop run emitted as one line of JSON on
+   stdout, for the CI bench-smoke artifact (BENCH_*.json): perf
+   trajectory starts accumulating without dragging the full benchmark
+   suite into CI. *)
 let smoke_section () =
   let module R = Core.Runtime.Make (Spec.Fifo_queue) in
   let report, m =
@@ -667,19 +668,17 @@ let smoke_section () =
   in
   let wall_s = float_of_int m.Perf.Measure.wall_ns /. 1e9 in
   let linearizable = Option.is_some report.linearization in
-  Format.printf
-    "{ \"bench\": \"closed-loop-queue-smoke\", \"algorithm\": \"wtlw\",@.";
-  Format.printf "  \"retain_events\": false, \"per_proc\": 50, \"n\": %d,@."
-    model.n;
-  Format.printf
-    "  \"operations\": %d, \"events\": %d, \"messages\": %d, \"pending\": %d,@."
+  Printf.printf
+    "{ \"bench\": \"closed-loop-queue-smoke\", \"algorithm\": \"wtlw\", \
+     \"retain_events\": false, \"per_proc\": 50, \"n\": %d, \
+     \"operations\": %d, \"events\": %d, \"messages\": %d, \"pending\": %d, \
+     \"linearizable\": %b, \"delays_admissible\": %b, \
+     \"wall_s\": %.6f, \"minor_words\": %.0f, \
+     \"minor_words_per_event\": %.2f }\n"
+    model.n
     (List.length report.operations)
-    report.events report.messages report.pending;
-  Format.printf "  \"linearizable\": %b, \"delays_admissible\": %b,@."
-    linearizable report.delays_admissible;
-  Format.printf "  \"wall_s\": %.6f, \"minor_words\": %.0f,@." wall_s
-    m.Perf.Measure.minor_words;
-  Format.printf "  \"minor_words_per_event\": %.2f }@."
+    report.events report.messages report.pending linearizable
+    report.delays_admissible wall_s m.Perf.Measure.minor_words
     (m.Perf.Measure.minor_words /. float_of_int (max 1 report.events));
   if not (linearizable && report.delays_admissible && report.pending = 0) then
     exit 1

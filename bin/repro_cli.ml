@@ -62,30 +62,30 @@ let simulate_cmd =
     let model = make_model n d u eps in
     let x = make_x model x in
     let (module T : Spec.Data_type.S) = Sweep.Packed_type.modl pt in
-    let module R = Core.Runtime.Make (T) in
+    let module E = Scenario.Exec.Run (T) in
     let algorithm =
       match algo with
-      | `Wtlw -> R.Wtlw { x }
-      | `Centralized -> R.Centralized
-      | `Tob -> R.Tob
+      | `Wtlw -> Scenario.Wtlw { x; knob = Core.Ablation.Paper }
+      | `Centralized -> Scenario.Centralized
+      | `Tob -> Scenario.Tob
     in
-    let report =
-      R.run
-        (R.Config.make ~model ~checker
-           ~retain_events:(not no_retain)
-           ~offsets:(Array.make model.n Rat.zero)
-           ~delay:(Sim.Net.random_model ~seed model)
-           ~algorithm
-           ~workload:(R.Closed_loop { per_proc = ops; think = Rat.make 1 2; seed })
-           ())
+    let s =
+      Scenario.make ~dt:(Sweep.Packed_type.key pt) ~model ~checker ~algorithm
+        ~workload:
+          (Scenario.Closed_loop { per_proc = ops; think = Rat.make 1 2 })
+        ~seed ()
     in
+    match E.config_of s with
+    | Error msg -> `Error (false, msg)
+    | Ok cfg ->
+    let report = E.R.run { cfg with retain_events = not no_retain } in
     Format.printf "model: %a, X = %a, data type: %s@.@." Sim.Model.pp model
       Rat.pp x T.name;
-    Format.printf "%a@." R.pp_report report;
+    Format.printf "%a@." E.R.pp_report report;
     (* Exit nonzero on any failed verification — truncation, pending
        operations, inadmissible delays or skew, or no linearization — so
        CI can gate on simulation outcomes. *)
-    if R.ok report then `Ok ()
+    if E.R.ok report then `Ok ()
     else
       `Error
         ( false,
@@ -1437,13 +1437,14 @@ let scenario_shrink_cmd =
                 in
                 append_json p
                   (Printf.sprintf
-                     {|{"bench": "scenario-shrink", "scenario": %S, "initial_size": %d, "final_size": %d, "steps": %d, "attempts": %d, "witness": %s, "tightness": %s}|}
-                     o.Scenario.Shrink.scenario.Scenario.name
+                     {|{"bench": "scenario-shrink", "scenario": "%s", "initial_size": %d, "final_size": %d, "steps": %d, "attempts": %d, "witness": %s, "tightness": %s}|}
+                     (Sim.Json.json_escape
+                        o.Scenario.Shrink.scenario.Scenario.name)
                      o.Scenario.Shrink.initial_size
                      o.Scenario.Shrink.final_size o.Scenario.Shrink.steps
                      o.Scenario.Shrink.attempts
                      (match o.Scenario.Shrink.exec.Scenario.Exec.witness with
-                     | Some w -> Printf.sprintf "%S" w
+                     | Some w -> "\"" ^ Sim.Json.json_escape w ^ "\""
                      | None -> "null")
                      tightness);
                 Format.printf "appended %s@." p)

@@ -28,7 +28,5 @@ val info : ?witness:string -> rule:string -> subject:string -> string -> t
 val pp : Format.formatter -> t -> unit
 (** ["error[rule] subject: message"] plus an indented witness line. *)
 
-val json_escape : string -> string
-
 val pp_json : Format.formatter -> t -> unit
 (** One JSON object; [witness] is [null] when absent. *)

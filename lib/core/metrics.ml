@@ -244,8 +244,14 @@ module Hist = struct
       Some
         { p50 = quantile t 0.5; p99 = quantile t 0.99; p999 = quantile t 0.999 }
 
-  let pp_quantiles ppf { p50; p99; p999 } =
-    Format.fprintf ppf "p50=%.6g p99=%.6g p999=%.6g" p50 p99 p999
+  let quantiles_str { p50; p99; p999 } =
+    Printf.sprintf "p50=%.6g p99=%.6g p999=%.6g" p50 p99 p999
+
+  let pp_quantiles ppf q = Format.pp_print_string ppf (quantiles_str q)
+
+  let pp_json_quantiles ppf { p50; p99; p999 } =
+    Format.fprintf ppf "{\"p50\":%.6g,\"p99\":%.6g,\"p999\":%.6g}" p50 p99
+      p999
 
   let pp ppf t =
     match quantiles t with

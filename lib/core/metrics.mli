@@ -87,7 +87,15 @@ module Hist : sig
   val quantiles : t -> quantiles option
   (** p50 / p99 / p999; [None] when empty. *)
 
+  val quantiles_str : quantiles -> string
+  (** ["p50=… p99=… p999=…"], the rendering fingerprints embed. *)
+
   val pp_quantiles : Format.formatter -> quantiles -> unit
+
+  val pp_json_quantiles : Format.formatter -> quantiles -> unit
+  (** [{"p50":…,"p99":…,"p999":…}], the object every JSON report
+      embeds. *)
+
   val pp : Format.formatter -> t -> unit
 end
 

@@ -142,17 +142,6 @@ let cell_of_legs ~data_type (case : case) ~raw ~recovered =
     certified;
   }
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let pp_json_leg ppf l =
   Format.fprintf ppf
     "{\"ok\":%b,\"flagged\":%b,\"pending\":%d,\"delays_admissible\":%b,\"skew_admissible\":%b,\"linearizable\":%b,\"truncated\":%b,\"faults\":{\"dropped\":%d,\"duplicated\":%d,\"spiked\":%d,\"crashed\":%d,\"skewed\":%d},\"retransmits\":%d,\"exhausted\":%d%s}"
@@ -161,72 +150,20 @@ let pp_json_leg ppf l =
     l.faults.spiked l.faults.crashed l.faults.skewed l.retransmits l.exhausted
     (match l.error with
     | None -> ""
-    | Some msg -> Printf.sprintf ",\"error\":\"%s\"" (json_string msg))
+    | Some msg ->
+        Printf.sprintf ",\"error\":\"%s\"" (Sim.Json.json_escape msg))
 
 let pp_json ppf cells =
+  let esc = Sim.Json.json_escape in
   Format.fprintf ppf "{\"matrix\":[";
   List.iteri
     (fun i c ->
       if i > 0 then Format.fprintf ppf ",";
       Format.fprintf ppf
         "{\"type\":\"%s\",\"case\":\"%s\",\"plan\":\"%s\",\"expectation\":\"%s\",\"raw\":%a,\"recovered\":%a,\"certified\":%b}"
-        (json_string c.data_type) (json_string c.case) (json_string c.plan)
+        (esc c.data_type) (esc c.case) (esc c.plan)
         (expectation_name c.expectation)
         pp_json_leg c.raw pp_json_leg c.recovered c.certified)
     cells;
   Format.fprintf ppf "],\"cells\":%d,\"certified\":%b}" (List.length cells)
     (all_certified cells)
-
-module Make (T : Spec.Data_type.S) = struct
-  module R = Runtime.Make (T)
-
-  let leg_of_report (r : R.report) =
-    let ok = R.ok r in
-    {
-      ok;
-      flagged = not ok;
-      pending = r.pending;
-      delays_admissible = r.delays_admissible;
-      skew_admissible = r.skew_admissible;
-      linearizable = Option.is_some r.linearization;
-      truncated = r.truncated;
-      faults = r.faults;
-      error = None;
-      retransmits =
-        (match r.channel with
-        | None -> 0
-        | Some c -> c.stats.Reliable.retransmits);
-      exhausted =
-        (match r.channel with None -> 0 | Some c -> c.stats.Reliable.exhausted);
-    }
-
-  (* One leg of a cell: the algorithm either straight on the faulty
-     network ([recovered = false]) or over the reliable channel judged
-     against the inflated model ([recovered = true]).  Both legs of a
-     cell share the workload, the delay schedule and the fault plan. *)
-  let run_leg ?config ?(per_proc = 3) ~(model : Sim.Model.t) ~x ~seed
-      ~recovered plan =
-    let cfg =
-      R.Config.make ~faults:plan ~max_events:500_000 ~model
-        ~offsets:(Array.make model.n Rat.zero)
-        ~delay:(Sim.Net.random_model ~seed model)
-        ~algorithm:(R.Wtlw { x })
-        ~workload:(R.Closed_loop { per_proc; think = Rat.make 1 2; seed })
-        ()
-    in
-    let cfg = if recovered then R.Config.reliable ?config cfg else cfg in
-    match R.run cfg with
-    | r -> leg_of_report r
-    | exception Invalid_argument msg -> aborted_leg msg
-    | exception Assert_failure _ -> aborted_leg "assertion failure"
-
-  let cell_of_legs (case : case) ~raw ~recovered =
-    cell_of_legs ~data_type:T.name case ~raw ~recovered
-
-  let run_cell ?config ?per_proc ~(model : Sim.Model.t) ~x ~seed
-      (case : case) =
-    let leg recovered =
-      run_leg ?config ?per_proc ~model ~x ~seed ~recovered case.plan
-    in
-    cell_of_legs case ~raw:(leg false) ~recovered:(leg true)
-end

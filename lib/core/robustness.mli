@@ -19,7 +19,11 @@
     [Detect] cells (crash-stop — unrecoverable by retransmission) must
     be flagged in the raw leg.  Every certified cell therefore
     witnesses the disjunction "flagged or recovered"; {!all_certified}
-    over the full matrix is what CI gates on. *)
+    over the full matrix is what CI gates on.
+
+    This module holds the cases, the verdict types and the printers;
+    the legs run in [Sweep.robustness], which lowers each one through
+    the scenario executor like every other closed-loop run. *)
 
 type expectation =
   | Detect  (** the raw run must be flagged; recovery is impossible *)
@@ -84,41 +88,3 @@ val pp_matrix : Format.formatter -> cell list -> unit
 val pp_json : Format.formatter -> cell list -> unit
 (** Machine-readable report enumerating {e every} cell with both legs'
     verdicts, ending with the aggregate ["certified"] flag. *)
-
-module Make (T : Spec.Data_type.S) : sig
-  module R : module type of Runtime.Make (T)
-
-  val run_leg :
-    ?config:Reliable.config ->
-    ?per_proc:int ->
-    model:Sim.Model.t ->
-    x:Rat.t ->
-    seed:int ->
-    recovered:bool ->
-    Sim.Fault.plan ->
-    leg
-  (** One leg of a cell on a closed-loop workload ([per_proc]
-      operations per process, default 3): raw ([recovered = false]) or
-      over the reliable channel against the inflated model
-      ([recovered = true]).  Both legs of a cell share the workload,
-      the delay schedule and the fault plan. *)
-
-  val cell_of_legs : case -> raw:leg -> recovered:leg -> cell
-  (** Combine the two legs of a case into a cell, applying the
-      certification semantics (crash = detect on the raw leg, the rest
-      = recover on the reliable leg). *)
-
-  val run_cell :
-    ?config:Reliable.config ->
-    ?per_proc:int ->
-    model:Sim.Model.t ->
-    x:Rat.t ->
-    seed:int ->
-    case ->
-    cell
-  (** Both legs of one cell, sequentially.
-
-      The full matrix driver lives in [Sweep.robustness]: each
-      (case, data type) cell is a sweep cell sharded across the domain
-      pool, which is how [repro faults] gets [--jobs N]. *)
-end

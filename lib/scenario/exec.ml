@@ -1,12 +1,13 @@
-(* The executor: lower a scenario onto the existing [Runtime.Config]
-   machinery, run it, and judge the result against the scenario's
-   expectation and temporal predicate.
+(* The executor: lower a scenario onto [Runtime.Config], run it, and
+   judge the result against the scenario's expectation and temporal
+   predicate.
 
-   Lowering is the same path the sweep engine takes (first-class
-   [Sweep.Packed_type] module -> [Runtime.Make] -> [Config.t]), so a
-   scenario is exactly as reproducible as a sweep cell: the scenario
-   seed drives delay sampling and workload generation, and nothing else
-   is random. *)
+   [Run(T).config_of] is the one lowering of a closed-loop run in the
+   library: sweep cells, robustness legs and [repro simulate] each
+   describe their run as a scenario and lower it here (first-class
+   [Spec.Packed_type] module -> [Runtime.Make] -> [Config.t]).  The
+   scenario seed drives delay sampling and workload generation, and
+   nothing else is random. *)
 
 open Types
 
@@ -139,13 +140,13 @@ module Run (T : Spec.Data_type.S) = struct
                  })
         | exception Invalid_argument m -> Error ("generated workload: " ^ m))
 
-  let config_of (s : t) : (R.Config.t, string) result =
+  let config_of ?deadline (s : t) : (R.Config.t, string) result =
     let* workload = workload_of s in
     if Array.length s.offsets <> s.model.Sim.Model.n then
       Error "offsets length must equal the model's n"
     else
       let cfg =
-        R.Config.make ~faults:s.faults ?max_events:s.max_events
+        R.Config.make ~faults:s.faults ?max_events:s.max_events ?deadline
           ?max_check_nodes:s.max_check_nodes ~checker:s.checker
           ?timing:(timing_override s) ~model:s.model ~offsets:s.offsets
           ~delay:(delay_of s)
@@ -310,12 +311,12 @@ end
 (* Type dispatch                                                       *)
 
 let run (s : t) : outcome =
-  match Sweep.Packed_type.find s.dt with
+  match Spec.Packed_type.find s.dt with
   | None ->
       let module RQ = Run (Spec.Fifo_queue) in
       RQ.aborted s ~wall_s:0. (Printf.sprintf "unknown data type %S" s.dt)
   | Some pt ->
-      let (module T : Spec.Data_type.S) = Sweep.Packed_type.modl pt in
+      let (module T : Spec.Data_type.S) = Spec.Packed_type.modl pt in
       let module E = Run (T) in
       E.run s
 
@@ -347,11 +348,11 @@ let json_of_outcome (o : outcome) =
   let b = Buffer.create 256 in
   let str_opt = function
     | None -> "null"
-    | Some s -> Printf.sprintf "%S" s
+    | Some s -> "\"" ^ Sim.Json.json_escape s ^ "\""
   in
   Printf.bprintf b
-    {|{"scenario": %S, "passed": %b, "certified": %b, "linearizable": %b, "converged": %s, "predicate": %b, "operations": %d, "pending": %d, "messages": %d, "events": %d, "faults": %d, "diagnostic": %s, "witness": %s, "wall_s": %.3f}|}
-    o.scenario o.passed o.certified o.linearizable
+    {|{"scenario": "%s", "passed": %b, "certified": %b, "linearizable": %b, "converged": %s, "predicate": %b, "operations": %d, "pending": %d, "messages": %d, "events": %d, "faults": %d, "diagnostic": %s, "witness": %s, "wall_s": %.3f}|}
+    (Sim.Json.json_escape o.scenario) o.passed o.certified o.linearizable
     (match o.converged with
     | None -> "null"
     | Some c -> string_of_bool c)

@@ -12,9 +12,11 @@
       byte-identically);
     - seed-deterministic random generation over the ten bundled types
       ({!gen}: same seed, byte-identical scenario);
-    - an executor lowering scenarios onto the existing
-      [Runtime.Config] / [Sweep] / [Shard] machinery ({!run},
-      {!of_sweep_cell}, {!to_shard_config});
+    - the executor ({!run}, {!Exec}): [Exec.Run(T).config_of] is the
+      one lowering of a closed-loop run onto [Runtime.Config].  This
+      library sits below the sweep engine: sweep cells, robustness
+      legs and [repro simulate] describe their runs as scenarios and
+      lower them through it;
     - a greedy deterministic counterexample shrinker ({!shrink}: drop
       invocations, move delay matrices toward the uniform point, drop
       fault specs, shrink seeds — to a fixpoint);
@@ -48,13 +50,3 @@ val load : string -> (t, string) result
 val run : t -> Exec.outcome
 val gen : seed:int -> t
 val shrink : ?max_attempts:int -> t -> (Shrink.outcome, string) result
-
-(** {1 Projections} *)
-
-val of_sweep_cell : Sweep.grid -> Sweep.cell -> t
-(** A sweep cell as a scenario — the exact lowering [Sweep.eval]
-    performs, so running the projection reproduces the cell's run. *)
-
-val to_shard_config : shards:int -> t -> (Shard.Config.t, string) result
-(** A generated-workload scenario as a [Shard] campaign; explicit and
-    closed-loop workloads (and ablation knobs) do not shard. *)

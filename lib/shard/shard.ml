@@ -124,9 +124,10 @@ type t = {
 (* Journal header for [repro load --resume]: binds the file to the
    shard-report schema and the compiler (Marshal compatibility).  The
    code digest lives in the per-shard input fingerprint instead, so a
-   rebuild invalidates shards individually. *)
+   rebuild invalidates shards individually.  Schema 2 journals a
+   [(shard_report, string) result] per shard. *)
 let journal_header () =
-  Printf.sprintf "repro-load-shards;schema=1;ocaml=%s" Sys.ocaml_version
+  Printf.sprintf "repro-load-shards;schema=2;ocaml=%s" Sys.ocaml_version
 
 (* Canonical shard coordinates: the input to the per-shard seed hash
    and the shard id in diagnostics.  Everything that can change a
@@ -144,15 +145,6 @@ let shard_key (cfg : Config.t) ~data_type ~shard =
     (Sim.Fault.describe cfg.faults)
     (match cfg.channel with None -> "raw" | Some _ -> "reliable")
     cfg.seed
-
-(* FNV-1a, 32-bit — same stable hash as the sweep engine's derived
-   seeds (Hashtbl.hash is not specified across OCaml versions). *)
-let fnv1a s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun ch -> h := (!h lxor Char.code ch) * 0x01000193 land 0xFFFFFFFF)
-    s;
-  !h
 
 let total_faults (counts : Sim.Trace.fault_counts list) =
   List.fold_left
@@ -179,7 +171,7 @@ module Make (T : Spec.Data_type.S) = struct
   let run_shard (cfg : Config.t) ~shard =
     let m = cfg.model in
     let skey = shard_key cfg ~data_type:T.name ~shard in
-    let sseed = fnv1a skey in
+    let sseed = Sweep.Journal.fnv1a skey in
     let gen =
       Workload.Gen.create ~arrival:cfg.arrival ~zipf:cfg.zipf ~keys:cfg.keys
         ~ops:cfg.ops ~seed:cfg.seed
@@ -304,87 +296,28 @@ module Make (T : Spec.Data_type.S) = struct
     }
 
   (* Everything that shapes a shard's report but is not part of its
-     coordinate key: checker budgets and the code itself (mirrors
-     [Sweep.input_fingerprint]). *)
+     coordinate key: the same budgets/checker/compiler/code string a
+     sweep cell's input fingerprint folds in. *)
   let input_fp ?code_fp (cfg : Config.t) ~shard =
-    let code =
-      match code_fp with Some c -> c | None -> Sweep.code_digest ()
-    in
-    fnv1a
+    Sweep.Journal.fnv1a
       (shard_key cfg ~data_type:T.name ~shard
-      ^ Printf.sprintf ";max_events=%s;max_check_nodes=%s;checker=%s;code=%s"
-          (match cfg.max_events with
-          | None -> "none"
-          | Some e -> string_of_int e)
-          (match cfg.max_check_nodes with
-          | None -> "none"
-          | Some e -> string_of_int e)
-          (match cfg.checker with
-          | Core.Runtime.Monitor -> "monitor"
-          | Core.Runtime.Wing_gong -> "wing-gong")
-          code)
+      ^ ";"
+      ^ Sweep.env_string ?code_fp ~max_events:cfg.max_events
+          ~max_check_nodes:cfg.max_check_nodes ~checker:cfg.checker ())
 
-  let run ?(jobs = 1) ?should_stop ?journal_dir ?(sync_every = 1) ?code_fp
+  let run ?(jobs = 1) ?should_stop ?journal_dir ?sync_every ?code_fp
       (cfg : Config.t) =
     let t0 = Unix.gettimeofday () in
-    let fp = journal_header () in
-    let prefill = Array.make cfg.shards None in
-    let jdiags = ref [] in
-    let replayed = ref 0 in
-    let writer =
-      match journal_dir with
-      | None -> None
-      | Some dir ->
-          Sweep.Journal.mkdir_p dir;
-          let path = Filename.concat dir "journal" in
-          let records, ds =
-            (Sweep.Journal.load ~path ~fp
-              : shard_report Sweep.Journal.record list * _)
-          in
-          jdiags := List.map Sweep.Journal.diagnostic_to_string ds;
-          let tbl = Sweep.Journal.index records in
-          for shard = 0 to cfg.shards - 1 do
-            match
-              Hashtbl.find_opt tbl (shard_key cfg ~data_type:T.name ~shard)
-            with
-            | Some (r : _ Sweep.Journal.record)
-              when r.Sweep.Journal.input_fp = input_fp ?code_fp cfg ~shard ->
-                prefill.(shard) <- Some r.Sweep.Journal.payload;
-                incr replayed
-            | _ -> ()
-          done;
-          Some (Sweep.Journal.writer ~sync_every ~path ~fp ())
+    let resumed, _ =
+      Sweep.Journal.resume ?dir:journal_dir ?sync_every ?should_stop ~jobs
+        ~fail_fast:false ~fp:(journal_header ()) ~n:cfg.shards
+        ~key:(fun shard -> shard_key cfg ~data_type:T.name ~shard)
+        ~input_fp:(fun shard -> input_fp ?code_fp cfg ~shard)
+        ~init:ignore
+        (fun () shard -> Ok (run_shard cfg ~shard))
     in
-    let pending =
-      let acc = ref [] in
-      for s = cfg.shards - 1 downto 0 do
-        if prefill.(s) = None then acc := s :: !acc
-      done;
-      Array.of_list !acc
-    in
-    let outcomes, _locals =
-      Pool.map ?should_stop ~jobs ~fail_fast:false ~n:(Array.length pending)
-        ~init:(fun () -> ())
-        (fun () j ->
-          let shard = pending.(j) in
-          let r = run_shard cfg ~shard in
-          (match writer with
-          | Some w ->
-              Sweep.Journal.append w
-                ~key:(shard_key cfg ~data_type:T.name ~shard)
-                ~input_fp:(input_fp ?code_fp cfg ~shard)
-                r
-          | None -> ());
-          Ok r)
-    in
-    Option.iter Sweep.Journal.close writer;
     let wall_s = Unix.gettimeofday () -. t0 in
-    let reports = Array.make cfg.shards Pool.Skipped in
-    Array.iteri
-      (fun s pre ->
-        match pre with Some r -> reports.(s) <- Pool.Done r | None -> ())
-      prefill;
-    Array.iteri (fun j o -> reports.(pending.(j)) <- o) outcomes;
+    let reports = resumed.outcomes in
     let done_ : shard_report list =
       Array.to_list reports
       |> List.filter_map (function Pool.Done r -> Some r | _ -> None)
@@ -417,10 +350,10 @@ module Make (T : Spec.Data_type.S) = struct
       certified =
         List.length done_ = cfg.shards
         && List.for_all (fun (r : shard_report) -> r.certified) done_;
-      replayed = !replayed;
+      replayed = resumed.replayed;
       interrupted =
         (match should_stop with Some f -> f () | None -> false);
-      journal_diagnostics = !jdiags;
+      journal_diagnostics = resumed.diagnostics;
       jobs;
       wall_s;
     }
@@ -433,13 +366,10 @@ let run ?jobs ?should_stop ?journal_dir ?sync_every ?code_fp cfg pt =
 
 (* ---------- deterministic fingerprint and reports ---------- *)
 
-let quantiles_str (q : Metrics.Hist.quantiles) =
-  Printf.sprintf "p50=%.6g p99=%.6g p999=%.6g" q.p50 q.p99 q.p999
-
 let hist_str h =
   match Metrics.Hist.quantiles h with
   | None -> "empty"
-  | Some q -> quantiles_str q
+  | Some q -> Metrics.Hist.quantiles_str q
 
 let fingerprint t =
   let buf = Buffer.create 1024 in
@@ -508,26 +438,12 @@ let pp ppf t =
     (if t.certified then "certified" else "FLAGGED")
     t.operations (hist_str t.hist) t.jobs t.wall_s
 
-let pp_json_quantiles ppf (q : Metrics.Hist.quantiles) =
-  Format.fprintf ppf "{\"p50\":%.6g,\"p99\":%.6g,\"p999\":%.6g}" q.p50 q.p99
-    q.p999
-
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let pp_json ppf t =
+  let esc = Sim.Json.json_escape in
   Format.fprintf ppf
     "{\"type\":\"%s\",\"algorithm\":\"%s\",\"shards\":%d,\"ops\":%d,\"keys\":%d,\"arrival\":\"%s\",\"zipf\":%g,\"seed\":%d,\"shard_reports\":["
-    (json_string t.data_type) (json_string t.algorithm) t.shards t.ops
-    t.keyspace (json_string t.arrival) t.zipf t.seed;
+    (esc t.data_type) (esc t.algorithm) t.shards t.ops
+    t.keyspace (esc t.arrival) t.zipf t.seed;
   Array.iteri
     (fun i outcome ->
       if i > 0 then Format.fprintf ppf ",";
@@ -535,16 +451,18 @@ let pp_json ppf t =
       | Pool.Skipped -> Format.fprintf ppf "{\"status\":\"skipped\"}"
       | Pool.Failed msg ->
           Format.fprintf ppf "{\"status\":\"failed\",\"error\":\"%s\"}"
-            (json_string msg)
+            (esc msg)
       | Pool.Done r ->
           Format.fprintf ppf
             "{\"shard\":%d,\"certified\":%b,\"linearizable\":%b,\"keys\":%d,\"operations\":%d,\"messages\":%d,\"events\":%d,\"pending\":%d,\"truncated\":%b,\"fallbacks\":%d,\"checked_by\":\"%s\""
             r.shard r.certified r.linearizable r.keys r.operations r.messages
             r.events r.pending r.truncated r.fallbacks
-            (json_string r.checked_by);
+            (esc r.checked_by);
           (match Metrics.Hist.quantiles r.hist with
           | None -> ()
-          | Some q -> Format.fprintf ppf ",\"quantiles\":%a" pp_json_quantiles q);
+          | Some q ->
+              Format.fprintf ppf ",\"quantiles\":%a"
+                Metrics.Hist.pp_json_quantiles q);
           (if r.uncertified_keys <> [] then
              Format.fprintf ppf ",\"uncertified_keys\":[%s]"
                (String.concat "," (List.map string_of_int r.uncertified_keys)));
@@ -555,13 +473,14 @@ let pp_json ppf t =
     t.certified t.operations t.messages t.events t.pending;
   (match Metrics.Hist.quantiles t.hist with
   | None -> ()
-  | Some q -> Format.fprintf ppf ",\"quantiles\":%a" pp_json_quantiles q);
+  | Some q ->
+      Format.fprintf ppf ",\"quantiles\":%a" Metrics.Hist.pp_json_quantiles q);
   Format.fprintf ppf
     "},\"replayed\":%d,\"interrupted\":%b,\"journal_diagnostics\":[" t.replayed
     t.interrupted;
   List.iteri
     (fun i d ->
       if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "\"%s\"" (json_string d))
+      Format.fprintf ppf "\"%s\"" (esc d))
     t.journal_diagnostics;
   Format.fprintf ppf "],\"jobs\":%d,\"wall_s\":%.3f}" t.jobs t.wall_s

@@ -8,9 +8,14 @@
    wall clock, so verdicts — and, because Metrics.Acc merging is exact
    rational arithmetic, the merged campaign summaries — are identical
    for every --jobs count.  Only [wall_s] and [jobs] vary, and both are
-   excluded from {!fingerprint}. *)
+   excluded from {!fingerprint}.
+
+   A cell describes its run as a [Scenario.t] and lowers it through
+   [Scenario.Exec.Run(T).config_of], the same path every scenario and
+   robustness leg takes. *)
 
 module Metrics = Core.Metrics
+module Packed_type = Spec.Packed_type
 
 (* Algorithm axis of the grid.  Wtlw's tradeoff parameter is declared
    as a fraction of [d - eps] so one grid entry stays valid at every
@@ -28,11 +33,6 @@ let algo_label = function
 let resolve_x (m : Sim.Model.t) = function
   | Wtlw { frac } -> Rat.mul frac (Rat.sub m.d m.eps)
   | Centralized | Tob -> Rat.zero
-
-let runtime_algo (m : Sim.Model.t) = function
-  | Wtlw _ as a -> Core.Runtime.Wtlw { x = resolve_x m a }
-  | Centralized -> Core.Runtime.Centralized
-  | Tob -> Core.Runtime.Tob
 
 type channel_leg = Raw | Recovered
 
@@ -143,17 +143,9 @@ let cell_key grid (c : cell) =
     (Rat.to_string m.u) (Rat.to_string m.eps) (delays_label c.delays)
     c.plan_label (leg_label c.leg) c.seed grid.per_proc
 
-(* FNV-1a, 32-bit.  Not [Hashtbl.hash]: that function is not specified
-   across OCaml versions, and derived seeds must be stable so recorded
-   fingerprints stay comparable. *)
-let fnv1a s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun ch -> h := (!h lxor Char.code ch) * 0x01000193 land 0xFFFFFFFF)
-    s;
-  !h
-
-let derived_seed grid c = fnv1a (cell_key grid c)
+(* FNV-1a, not [Hashtbl.hash]: derived seeds must be stable across
+   OCaml versions so recorded fingerprints stay comparable. *)
+let derived_seed grid c = Journal.fnv1a (cell_key grid c)
 
 (* Per-cell verdict: the run's health, its latency shape, and the
    worst observed latency of each class against the Table 5 formula for
@@ -189,18 +181,36 @@ let bound_for ~algo ~(judged : Sim.Model.t) ~x kind =
   | Centralized -> Bounds.Theorems.ub_centralized judged
   | Tob -> Bounds.Theorems.ub_tob judged
 
+(* The cell as a scenario: the derived seed drives both the delay
+   sampling and the closed loop; offsets are zero and think time 1/2. *)
+let scenario grid (c : cell) ~key ~seed =
+  let algorithm =
+    match c.algo with
+    | Wtlw _ ->
+        Scenario.Wtlw
+          { x = resolve_x c.point c.algo; knob = Core.Ablation.Paper }
+    | Centralized -> Scenario.Centralized
+    | Tob -> Scenario.Tob
+  in
+  let delays =
+    match c.delays with
+    | Random_delays -> Scenario.Random_delays
+    | Max_delays -> Scenario.Max_delays
+    | Min_delays -> Scenario.Min_delays
+  in
+  Scenario.make ~name:key ~dt:(Packed_type.key c.dt) ~model:c.point ~delays
+    ~faults:c.plan ~reliable:(c.leg = Recovered) ~checker:grid.checker
+    ~algorithm
+    ~workload:
+      (Scenario.Closed_loop { per_proc = grid.per_proc; think = Rat.make 1 2 })
+    ~seed ~max_events:grid.max_events ?max_check_nodes:grid.max_check_nodes ()
+
 let eval ?wall_budget_s grid (c : cell) : (verdict, string) result =
   let key = cell_key grid c in
   let seed = derived_seed grid c in
   let m = c.point in
   let (module T : Spec.Data_type.S) = Packed_type.modl c.dt in
-  let module R = Core.Runtime.Make (T) in
-  let delay =
-    match c.delays with
-    | Random_delays -> Sim.Net.random_model ~seed m
-    | Max_delays -> Sim.Net.max_delay_model m
-    | Min_delays -> Sim.Net.min_delay_model m
-  in
+  let module E = Scenario.Exec.Run (T) in
   (* Per-cell wall budget: a closure over the start time, polled by the
      simulation loop.  An exhausted budget (deliberately including 0.0,
      which expires on the very first poll) surfaces below as the named
@@ -214,19 +224,9 @@ let eval ?wall_budget_s grid (c : cell) : (verdict, string) result =
         fun () -> Unix.gettimeofday () -. t0 >= budget)
       wall_budget_s
   in
-  let cfg =
-    R.Config.make ~faults:c.plan ~max_events:grid.max_events
-      ?max_check_nodes:grid.max_check_nodes ?deadline ~checker:grid.checker
-      ~model:m
-      ~offsets:(Array.make m.n Rat.zero)
-      ~delay
-      ~algorithm:(runtime_algo m c.algo)
-      ~workload:
-        (R.Closed_loop { per_proc = grid.per_proc; think = Rat.make 1 2; seed })
-      ()
-  in
-  let cfg = match c.leg with Raw -> cfg | Recovered -> R.Config.reliable cfg in
-  match R.run cfg with
+  let s = scenario grid c ~key ~seed in
+  match Result.map E.R.run (E.config_of ?deadline s) with
+  | Error msg -> Error (Printf.sprintf "%s: %s" key msg)
   | exception Lin.Checker.Node_budget_exceeded { nodes; prefix; total } ->
       Error
         (Format.asprintf "%s: %a (max_check_nodes)" key
@@ -236,7 +236,7 @@ let eval ?wall_budget_s grid (c : cell) : (verdict, string) result =
         (Printf.sprintf "%s: Cell_timeout: exceeded %gs wall budget" key
            (Option.value wall_budget_s ~default:0.0))
   | exception Invalid_argument msg -> Error (Printf.sprintf "%s: %s" key msg)
-  | report ->
+  | Ok report ->
       let judged =
         match report.channel with Some ch -> ch.effective | None -> m
       in
@@ -252,7 +252,7 @@ let eval ?wall_budget_s grid (c : cell) : (verdict, string) result =
       in
       let lat = Metrics.Acc.create () in
       List.iter (fun (_, s) -> Metrics.Acc.absorb lat s) report.by_kind;
-      let ok = R.ok report in
+      let ok = E.R.ok report in
       Ok
         {
           key;
@@ -319,27 +319,24 @@ let code_fingerprint =
     (try Digest.to_hex (Digest.file Sys.executable_name)
      with Sys_error _ | Unix.Unix_error _ -> "unknown")
 
-let code_digest () = Lazy.force code_fingerprint
-
-(* Everything that shapes a cell's result but is not part of its
-   coordinate key: grid-level budgets, the certification engine, the
-   compiler and the code itself. *)
-let env_string ?code_fp grid =
+(* Everything that shapes a journaled result but is not part of its
+   coordinate key: budgets, the certification engine, the compiler and
+   the code itself.  Shared by sweep cells and load shards. *)
+let env_string ?code_fp ~max_events ~max_check_nodes ~checker () =
   let code =
     match code_fp with Some c -> c | None -> Lazy.force code_fingerprint
   in
-  Printf.sprintf "max_events=%d;max_check_nodes=%s;checker=%s;ocaml=%s;code=%s"
-    grid.max_events
-    (match grid.max_check_nodes with
-    | None -> "none"
-    | Some n -> string_of_int n)
-    (match grid.checker with
-    | Core.Runtime.Monitor -> "monitor"
-    | Core.Runtime.Wing_gong -> "wing-gong")
+  let budget = function None -> "none" | Some n -> string_of_int n in
+  Printf.sprintf "max_events=%s;max_check_nodes=%s;checker=%s;ocaml=%s;code=%s"
+    (budget max_events) (budget max_check_nodes)
+    (Core.Runtime.checker_name checker)
     Sys.ocaml_version code
 
 let input_fingerprint ?code_fp grid c =
-  fnv1a (cell_key grid c ^ ";" ^ env_string ?code_fp grid)
+  Journal.fnv1a
+    (cell_key grid c ^ ";"
+    ^ env_string ?code_fp ~max_events:(Some grid.max_events)
+        ~max_check_nodes:grid.max_check_nodes ~checker:grid.checker ())
 
 (* The journal header binds the file to the record schema and the
    compiler (Marshal compatibility).  The code fingerprint is
@@ -360,9 +357,23 @@ type local = {
   kinds : Spec.Op_kind.t Metrics.Grouped.t;
 }
 
+let new_local () =
+  {
+    lat = Metrics.Acc.create ();
+    hist = Metrics.Hist.create ();
+    kinds = Metrics.Grouped.create ();
+  }
+
+let absorb l (v : verdict) =
+  Option.iter (Metrics.Acc.absorb l.lat) v.latency;
+  Metrics.Hist.merge l.hist v.hist;
+  List.iter (fun (k, s) -> Metrics.Grouped.absorb l.kinds k s) v.by_kind
+
 (* Observability per cell, excluded from {!fingerprint} exactly like
    [jobs]/[wall_s]: replayed cells carry zero wall time and attempts. *)
 type cell_meta = { wall_s : float; attempts : int; replayed : bool }
+
+let not_run = { wall_s = 0.0; attempts = 0; replayed = false }
 
 type resume_stats = {
   replayed : int;  (** cells answered from the journal *)
@@ -372,15 +383,6 @@ type resume_stats = {
   journal_diagnostics : string list;
       (** named corruption/truncation findings from journal loading *)
 }
-
-let no_resume =
-  {
-    replayed = 0;
-    invalidated = 0;
-    executed = 0;
-    interrupted = false;
-    journal_diagnostics = [];
-  }
 
 type t = {
   grid : grid;
@@ -395,177 +397,103 @@ type t = {
   wall_s : float;
 }
 
-(* Shared executor: evaluate the cells [prefill] does not already
-   answer, then assemble the campaign as if every cell had run here.
-   Because Acc/Hist/Grouped merging is exact, commutative and
-   associative, absorbing a replayed verdict is indistinguishable from
-   re-running its cell — this is what makes resumed (and spool-merged)
-   fingerprints byte-identical to a fresh single-process run. *)
-let execute ?retry ?should_stop ?journal_append ~jobs ~fail_fast
-    ~(prefill : (verdict, string) result option array)
-    ~(resume0 : resume_stats) grid (cells : cell array) =
-  let n = Array.length cells in
-  let t0 = Unix.gettimeofday () in
-  let meta = Array.make n { wall_s = 0.0; attempts = 0; replayed = false } in
-  let pending =
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      if prefill.(i) = None then acc := i :: !acc
-    done;
-    Array.of_list !acc
+(* Assemble the campaign from positional outcomes.  Executed cells
+   reach the aggregates through the pool's per-domain [locals]; replayed
+   ones are absorbed here.  Because Acc/Hist/Grouped merging is exact,
+   commutative and associative, absorbing a replayed verdict is
+   indistinguishable from re-running its cell — this is what makes
+   resumed (and spool-merged) fingerprints byte-identical to a fresh
+   single-process run. *)
+let assemble ?should_stop ?meta ~jobs ~wall_s ~locals grid cells
+    (r : verdict Journal.resumed) =
+  let meta =
+    match meta with
+    | Some m -> m
+    | None -> Array.make (Array.length cells) not_run
   in
-  let outcomes, locals =
-    Pool.map ?should_stop ~jobs ~fail_fast ~n:(Array.length pending)
-      ~init:(fun () ->
-        {
-          lat = Metrics.Acc.create ();
-          hist = Metrics.Hist.create ();
-          kinds = Metrics.Grouped.create ();
-        })
-      (fun local j ->
-        let i = pending.(j) in
-        let c = cells.(i) in
-        let c0 = Unix.gettimeofday () in
-        let r, attempts = eval_with_retry ?retry grid c in
-        meta.(i) <-
-          { wall_s = Unix.gettimeofday () -. c0; attempts; replayed = false };
-        (match journal_append with Some f -> f c r | None -> ());
-        (match r with
-        | Ok v ->
-            (match v.latency with
-            | Some s -> Metrics.Acc.absorb local.lat s
-            | None -> ());
-            Metrics.Hist.merge local.hist v.hist;
-            List.iter
-              (fun (k, s) -> Metrics.Grouped.absorb local.kinds k s)
-              v.by_kind
-        | Error _ -> ());
-        r)
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let lat = Metrics.Acc.create () in
-  let hist = Metrics.Hist.create () in
-  let kinds = Metrics.Grouped.create () in
+  let total = new_local () in
   List.iter
     (fun l ->
-      Metrics.Acc.merge lat l.lat;
-      Metrics.Hist.merge hist l.hist;
-      Metrics.Grouped.merge kinds l.kinds)
+      Metrics.Acc.merge total.lat l.lat;
+      Metrics.Hist.merge total.hist l.hist;
+      Metrics.Grouped.merge total.kinds l.kinds)
     locals;
-  let results = Array.make n Pool.Skipped in
   let executed = ref 0 in
   Array.iteri
-    (fun j outcome ->
-      (match outcome with
-      | Pool.Done _ | Pool.Failed _ -> incr executed
-      | Pool.Skipped -> ());
-      results.(pending.(j)) <- outcome)
-    outcomes;
-  Array.iteri
-    (fun i pre ->
-      match pre with
-      | None -> ()
-      | Some r ->
-          meta.(i) <- { wall_s = 0.0; attempts = 0; replayed = true };
-          (match r with
-          | Ok v ->
-              results.(i) <- Pool.Done v;
-              (match v.latency with
-              | Some s -> Metrics.Acc.absorb lat s
-              | None -> ());
-              Metrics.Hist.merge hist v.hist;
-              List.iter
-                (fun (k, s) -> Metrics.Grouped.absorb kinds k s)
-                v.by_kind
-          | Error msg -> results.(i) <- Pool.Failed msg))
-    prefill;
+    (fun i replayed ->
+      match (replayed, r.outcomes.(i)) with
+      | true, o ->
+          meta.(i) <- { not_run with replayed = true };
+          (match o with Pool.Done v -> absorb total v | _ -> ())
+      | false, Pool.Skipped -> ()
+      | false, (Pool.Done _ | Pool.Failed _) -> incr executed)
+    r.from_journal;
   let by_kind =
     (* Grouped preserves first-seen order, which depends on the
        partition; sort by class name for a deterministic report. *)
     List.sort
       (fun (a, _) (b, _) ->
         compare (Spec.Op_kind.to_string a) (Spec.Op_kind.to_string b))
-      (Metrics.Grouped.summaries kinds)
-  in
-  let interrupted =
-    match should_stop with Some f -> f () | None -> false
+      (Metrics.Grouped.summaries total.kinds)
   in
   {
     grid;
     cells;
-    results;
+    results = r.outcomes;
     meta;
-    total = Metrics.Acc.summary lat;
-    hist;
+    total = Metrics.Acc.summary total.lat;
+    hist = total.hist;
     by_kind;
-    resume = { resume0 with executed = !executed; interrupted };
+    resume =
+      {
+        replayed = r.replayed;
+        invalidated = r.invalidated;
+        executed = !executed;
+        interrupted = (match should_stop with Some f -> f () | None -> false);
+        journal_diagnostics = r.diagnostics;
+      };
     jobs;
     wall_s;
   }
 
-let run ?(jobs = 1) ?(fail_fast = false) ?retry ?should_stop grid =
-  let cells = Array.of_list (cells grid) in
-  execute ?retry ?should_stop ~jobs ~fail_fast
-    ~prefill:(Array.make (Array.length cells) None)
-    ~resume0:no_resume grid cells
-
-(* Durable campaign: load the journal, replay every record whose key
-   and input fingerprint still match the grid, run (and journal) the
-   remainder.  [replay_failures] (default true) also replays journaled
-   diagnostics — needed for fingerprint-identical merges; pass false to
-   re-run previously failed cells instead. *)
-let run_durable ?(jobs = 1) ?(fail_fast = false) ?retry ?should_stop
-    ?(sync_every = 1) ?(replay_failures = true) ?code_fp ~dir grid =
-  Journal.mkdir_p dir;
-  let path = Filename.concat dir "journal" in
-  let fp = journal_header () in
-  let records, diags =
-    (Journal.load ~path ~fp
-      : (verdict, string) result Journal.record list * _)
-  in
-  let tbl = Journal.index records in
+(* Evaluate the grid, resuming from [dir]/journal when given: journaled
+   cells whose key and input fingerprint still match are replayed, the
+   rest run on the pool and are journaled as they complete. *)
+let execute ?retry ?should_stop ?dir ?sync_every ?replay_failures ?code_fp
+    ~jobs ~fail_fast grid =
   let cells = Array.of_list (cells grid) in
   let n = Array.length cells in
-  let prefill = Array.make n None in
-  let replayed = ref 0 and invalidated = ref 0 in
-  Array.iteri
-    (fun i c ->
-      match Hashtbl.find_opt tbl (cell_key grid c) with
-      | None -> ()
-      | Some (r : _ Journal.record) ->
-          if r.Journal.input_fp <> input_fingerprint ?code_fp grid c then
-            incr invalidated
-          else begin
-            match r.Journal.payload with
-            | Ok _ as ok ->
-                prefill.(i) <- Some ok;
-                incr replayed
-            | Error _ as e ->
-                if replay_failures then begin
-                  prefill.(i) <- Some e;
-                  incr replayed
-                end
-          end)
-    cells;
-  let w = Journal.writer ~sync_every ~path ~fp () in
-  Fun.protect
-    ~finally:(fun () -> Journal.close w)
-    (fun () ->
-      let journal_append c r =
-        Journal.append w ~key:(cell_key grid c)
-          ~input_fp:(input_fingerprint ?code_fp grid c)
-          r
-      in
-      execute ?retry ?should_stop ~journal_append ~jobs ~fail_fast ~prefill
-        ~resume0:
-          {
-            no_resume with
-            replayed = !replayed;
-            invalidated = !invalidated;
-            journal_diagnostics =
-              List.map Journal.diagnostic_to_string diags;
-          }
-        grid cells)
+  let t0 = Unix.gettimeofday () in
+  let meta = Array.make n not_run in
+  let r, locals =
+    Journal.resume ?dir ?sync_every ?replay_failures ?should_stop ~jobs
+      ~fail_fast ~fp:(journal_header ()) ~n
+      ~key:(fun i -> cell_key grid cells.(i))
+      ~input_fp:(fun i -> input_fingerprint ?code_fp grid cells.(i))
+      ~init:new_local
+      (fun local i ->
+        let c0 = Unix.gettimeofday () in
+        let r, attempts = eval_with_retry ?retry grid cells.(i) in
+        meta.(i) <-
+          { wall_s = Unix.gettimeofday () -. c0; attempts; replayed = false };
+        Result.iter (absorb local) r;
+        r)
+  in
+  assemble ?should_stop ~meta ~jobs ~wall_s:(Unix.gettimeofday () -. t0)
+    ~locals grid cells r
+
+let run ?(jobs = 1) ?(fail_fast = false) ?retry ?should_stop grid =
+  execute ?retry ?should_stop ~jobs ~fail_fast grid
+
+(* Durable campaign: replay every journaled cell whose key and input
+   fingerprint still match the grid, run (and journal) the remainder.
+   [replay_failures] (default true) also replays journaled diagnostics
+   — needed for fingerprint-identical merges; pass false to re-run
+   previously failed cells instead. *)
+let run_durable ?(jobs = 1) ?(fail_fast = false) ?retry ?should_stop
+    ?sync_every ?replay_failures ?code_fp ~dir grid =
+  execute ?retry ?should_stop ~dir ?sync_every ?replay_failures ?code_fp ~jobs
+    ~fail_fast grid
 
 let certified t =
   Array.length t.results > 0
@@ -590,9 +518,6 @@ let counts t =
 let summary_str (s : Metrics.summary) =
   Printf.sprintf "count=%d min=%s max=%s mean=%s" s.count (Rat.to_string s.min)
     (Rat.to_string s.max) (Rat.to_string s.mean)
-
-let quantiles_str (q : Metrics.Hist.quantiles) =
-  Printf.sprintf "p50=%.6g p99=%.6g p999=%.6g" q.p50 q.p99 q.p999
 
 let fingerprint t =
   let buf = Buffer.create 4096 in
@@ -620,7 +545,8 @@ let fingerprint t =
   | Some s -> Buffer.add_string buf ("total: " ^ summary_str s ^ "\n"));
   (match Metrics.Hist.quantiles t.hist with
   | None -> ()
-  | Some q -> Buffer.add_string buf ("tail: " ^ quantiles_str q ^ "\n"));
+  | Some q ->
+      Buffer.add_string buf ("tail: " ^ Metrics.Hist.quantiles_str q ^ "\n"));
   List.iter
     (fun (k, s) ->
       Buffer.add_string buf
@@ -671,25 +597,10 @@ let pp ppf t =
      wall=%.2fs@]"
     (Array.length t.cells) done_ cert failed skipped t.jobs t.wall_s
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let pp_json_summary ppf (s : Metrics.summary) =
   Format.fprintf ppf
     "{\"count\":%d,\"min\":\"%s\",\"max\":\"%s\",\"mean\":\"%s\"}" s.count
     (Rat.to_string s.min) (Rat.to_string s.max) (Rat.to_string s.mean)
-
-let pp_json_quantiles ppf (q : Metrics.Hist.quantiles) =
-  Format.fprintf ppf "{\"p50\":%.6g,\"p99\":%.6g,\"p999\":%.6g}" q.p50 q.p99
-    q.p999
 
 let pp_json_verdict ppf (v : verdict) =
   Format.fprintf ppf
@@ -701,7 +612,8 @@ let pp_json_verdict ppf (v : verdict) =
   | Some s -> Format.fprintf ppf ",\"latency\":%a" pp_json_summary s);
   (match Metrics.Hist.quantiles v.hist with
   | None -> ()
-  | Some q -> Format.fprintf ppf ",\"quantiles\":%a" pp_json_quantiles q);
+  | Some q ->
+      Format.fprintf ppf ",\"quantiles\":%a" Metrics.Hist.pp_json_quantiles q);
   Format.fprintf ppf ",\"bounds\":[";
   List.iteri
     (fun i (k, worst, ub) ->
@@ -719,12 +631,13 @@ let pp_json ppf t =
   Array.iteri
     (fun i c ->
       if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "{\"key\":\"%s\",\"verdict\":" (json_string (cell_key t.grid c));
+      Format.fprintf ppf "{\"key\":\"%s\",\"verdict\":"
+        (Sim.Json.json_escape (cell_key t.grid c));
       (match t.results.(i) with
       | Pool.Skipped -> Format.fprintf ppf "{\"status\":\"skipped\"}"
       | Pool.Failed msg ->
           Format.fprintf ppf "{\"status\":\"failed\",\"error\":\"%s\"}"
-            (json_string msg)
+            (Sim.Json.json_escape msg)
       | Pool.Done v -> pp_json_verdict ppf v);
       (* Observability only — like jobs/wall_s, never fingerprinted. *)
       let m = t.meta.(i) in
@@ -737,7 +650,8 @@ let pp_json ppf t =
   | Some s -> Format.fprintf ppf "\"latency\":%a," pp_json_summary s);
   (match Metrics.Hist.quantiles t.hist with
   | None -> ()
-  | Some q -> Format.fprintf ppf "\"quantiles\":%a," pp_json_quantiles q);
+  | Some q ->
+      Format.fprintf ppf "\"quantiles\":%a," Metrics.Hist.pp_json_quantiles q);
   Format.fprintf ppf "\"by_kind\":[";
   List.iteri
     (fun i (k, s) ->
@@ -757,7 +671,7 @@ let pp_json ppf t =
   List.iteri
     (fun i d ->
       if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "\"%s\"" (json_string d))
+      Format.fprintf ppf "\"%s\"" (Sim.Json.json_escape d))
     t.resume.journal_diagnostics;
   Format.fprintf ppf
     "]},\"jobs\":%d,\"wall_s\":%.3f,\"certified\":%b}"
@@ -765,14 +679,54 @@ let pp_json ppf t =
 
 (* ---------- robustness matrix on the pool ---------- *)
 
+(* One leg of a robustness cell: the algorithm straight on the faulty
+   network ([recovered = false]) or over the reliable channel judged
+   against the inflated model ([recovered = true]).  Both legs of a cell
+   share the workload, the delay schedule and the fault plan. *)
+let robustness_leg dt ~model ~x ~seed ~recovered plan : Core.Robustness.leg =
+  let (module T : Spec.Data_type.S) = Packed_type.modl dt in
+  let module E = Scenario.Exec.Run (T) in
+  let s =
+    Scenario.make ~dt:(Packed_type.key dt) ~model ~faults:plan
+      ~reliable:recovered
+      ~algorithm:(Scenario.Wtlw { x; knob = Core.Ablation.Paper })
+      ~workload:(Scenario.Closed_loop { per_proc = 3; think = Rat.make 1 2 })
+      ~seed ~max_events:500_000 ()
+  in
+  match Result.map E.R.run (E.config_of s) with
+  | Ok r ->
+      let ok = E.R.ok r in
+      {
+        ok;
+        flagged = not ok;
+        pending = r.pending;
+        delays_admissible = r.delays_admissible;
+        skew_admissible = r.skew_admissible;
+        linearizable = Option.is_some r.linearization;
+        truncated = r.truncated;
+        faults = r.faults;
+        error = None;
+        retransmits =
+          (match r.channel with
+          | None -> 0
+          | Some ch -> ch.stats.Core.Reliable.retransmits);
+        exhausted =
+          (match r.channel with
+          | None -> 0
+          | Some ch -> ch.stats.Core.Reliable.exhausted);
+      }
+  | Error msg | (exception Invalid_argument msg) ->
+      Core.Robustness.aborted_leg msg
+  | exception Assert_failure _ ->
+      Core.Robustness.aborted_leg "assertion failure"
+
 (* The full (data type x nemesis case) robustness matrix, one pool job
    per cell.  A cell's outcome depends only on its coordinates (both
-   legs reuse the caller's seed, exactly as the old sequential driver
-   did), so the matrix is identical for every [jobs] count and is
-   always returned in (type, case) order.  fail_fast is deliberately
-   not offered: certification semantics require every cell's verdict. *)
-let robustness ?(jobs = 1) ?should_stop ?config ?per_proc ~model ~x ~seed
-    types =
+   legs reuse the caller's seed), so the matrix is identical for every
+   [jobs] count and is always returned in (type, case) order.
+   fail_fast is deliberately not offered: certification semantics
+   require every cell's verdict. *)
+let robustness ?(jobs = 1) ?should_stop ~model ~x ~seed types =
   let work =
     Array.of_list
       (List.concat_map
@@ -782,14 +736,20 @@ let robustness ?(jobs = 1) ?should_stop ?config ?per_proc ~model ~x ~seed
              (Core.Robustness.default_cases ~seed model))
          types)
   in
+  let cell i ~raw ~recovered =
+    let dt, case = work.(i) in
+    Core.Robustness.cell_of_legs ~data_type:(Packed_type.spec_name dt) case
+      ~raw ~recovered
+  in
   let results, _ =
     Pool.map ?should_stop ~jobs ~fail_fast:false ~n:(Array.length work)
       ~init:(fun () -> ())
       (fun () i ->
-        let dt, case = work.(i) in
-        let (module T : Spec.Data_type.S) = Packed_type.modl dt in
-        let module M = Core.Robustness.Make (T) in
-        Ok (M.run_cell ?config ?per_proc ~model ~x ~seed case))
+        let dt, (case : Core.Robustness.case) = work.(i) in
+        let leg recovered =
+          robustness_leg dt ~model ~x ~seed ~recovered case.plan
+        in
+        Ok (cell i ~raw:(leg false) ~recovered:(leg true)))
   in
   Array.to_list
     (Array.mapi
@@ -797,13 +757,9 @@ let robustness ?(jobs = 1) ?should_stop ?config ?per_proc ~model ~x ~seed
          match outcome with
          | Pool.Done cell -> cell
          | Pool.Failed msg ->
-             let dt, case = work.(i) in
              let leg = Core.Robustness.aborted_leg msg in
-             Core.Robustness.cell_of_legs ~data_type:(Packed_type.spec_name dt)
-               case ~raw:leg ~recovered:leg
+             cell i ~raw:leg ~recovered:leg
          | Pool.Skipped ->
-             let dt, case = work.(i) in
              let leg = Core.Robustness.aborted_leg "skipped" in
-             Core.Robustness.cell_of_legs ~data_type:(Packed_type.spec_name dt)
-               case ~raw:leg ~recovered:leg)
+             cell i ~raw:leg ~recovered:leg)
        results)

@@ -256,3 +256,74 @@ let close w =
   Mutex.protect w.lock (fun () ->
       sync_locked w;
       close_out_noerr w.oc)
+
+(* ---------- resuming a batch of deterministic jobs ---------- *)
+
+type 'a resumed = {
+  outcomes : 'a Pool.outcome array;
+  from_journal : bool array;
+  replayed : int;
+  invalidated : int;
+  diagnostics : string list;
+}
+
+(* The one resume step behind durable sweeps and resumable loads: load
+   and index [dir]/journal, prefill every job whose record still
+   carries its input fingerprint, run the rest on the pool (journaling
+   each result as it lands), and scatter the pool's outcomes back to
+   their positions.  Without [dir] nothing is read or written and
+   [key]/[input_fp] are never called. *)
+let resume ?dir ?sync_every ?(replay_failures = true) ?should_stop ~jobs
+    ~fail_fast ~fp ~n ~key ~input_fp ~init f =
+  let prefill = Array.make n None in
+  let replayed = ref 0 and invalidated = ref 0 and diagnostics = ref [] in
+  let w =
+    Option.map
+      (fun dir ->
+        mkdir_p dir;
+        let path = Filename.concat dir "journal" in
+        let records, diags = load ~path ~fp in
+        diagnostics := List.map diagnostic_to_string diags;
+        let tbl = index records in
+        for i = 0 to n - 1 do
+          match Hashtbl.find_opt tbl (key i) with
+          | None -> ()
+          | Some r when r.input_fp <> input_fp i -> incr invalidated
+          | Some { payload = Error _; _ } when not replay_failures -> ()
+          | Some r ->
+              prefill.(i) <- Some r.payload;
+              incr replayed
+        done;
+        writer ?sync_every ~path ~fp ())
+      dir
+  in
+  let pending =
+    List.init n Fun.id
+    |> List.filter (fun i -> Option.is_none prefill.(i))
+    |> Array.of_list
+  in
+  let pooled, locals =
+    Fun.protect
+      ~finally:(fun () -> Option.iter close w)
+      (fun () ->
+        Pool.map ?should_stop ~jobs ~fail_fast ~n:(Array.length pending) ~init
+          (fun l j ->
+            let i = pending.(j) in
+            let r = f l i in
+            Option.iter
+              (fun w -> append w ~key:(key i) ~input_fp:(input_fp i) r)
+              w;
+            r))
+  in
+  let outcomes =
+    Array.map (Option.fold ~none:Pool.Skipped ~some:Pool.of_result) prefill
+  in
+  Array.iteri (fun j o -> outcomes.(pending.(j)) <- o) pooled;
+  ( {
+      outcomes;
+      from_journal = Array.map Option.is_some prefill;
+      replayed = !replayed;
+      invalidated = !invalidated;
+      diagnostics = !diagnostics;
+    },
+    locals )

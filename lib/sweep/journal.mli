@@ -19,6 +19,11 @@ val mkdir_p : string -> unit
 (** Create [dir] and any missing parents (shared by the durable-run
     and spool layers). *)
 
+val fnv1a : string -> int
+(** FNV-1a, 32-bit: the record checksum, and the stable hash behind
+    derived seeds and input fingerprints ([Hashtbl.hash] is not
+    specified across OCaml versions). *)
+
 type diagnostic = { offset : int; reason : string }
 
 val diagnostic_to_string : diagnostic -> string
@@ -54,3 +59,40 @@ val flush : writer -> unit
 
 val close : writer -> unit
 (** {!flush} then close the underlying descriptor. *)
+
+(** {1 Resuming a batch of jobs} *)
+
+(** A batch of [n] positional jobs, answered from the journal or the
+    pool. *)
+type 'a resumed = {
+  outcomes : 'a Pool.outcome array;
+      (** positional; a replayed [Error] is [Failed] *)
+  from_journal : bool array;  (** which outcomes were replayed *)
+  replayed : int;
+  invalidated : int;
+      (** journaled jobs re-run because their input fingerprint changed *)
+  diagnostics : string list;  (** {!diagnostic_to_string} of the load *)
+}
+
+val resume :
+  ?dir:string ->
+  ?sync_every:int ->
+  ?replay_failures:bool ->
+  ?should_stop:(unit -> bool) ->
+  jobs:int ->
+  fail_fast:bool ->
+  fp:string ->
+  n:int ->
+  key:(int -> string) ->
+  input_fp:(int -> int) ->
+  init:(unit -> 'l) ->
+  ('l -> int -> ('a, string) result) ->
+  'a resumed * 'l list
+(** Run jobs [0 .. n-1] on the pool ({!Pool.map}), resuming from
+    [dir]/journal: a job whose record (last one wins) still carries
+    [input_fp i] is replayed instead of run, and every job the pool
+    runs is appended as it completes.  [replay_failures] (default true)
+    also replays journaled [Error]s; with [false] they run again.
+    Without [dir] nothing is read or written, and [key] and [input_fp]
+    are never called.  The locals are the pool's, for the executed jobs
+    only. *)

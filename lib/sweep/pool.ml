@@ -26,6 +26,7 @@
 type 'a outcome = Done of 'a | Failed of string | Skipped
 
 let outcome_ok = function Done _ -> true | Failed _ | Skipped -> false
+let of_result = function Ok v -> Done v | Error msg -> Failed msg
 
 let map (type l r) ?should_stop ~jobs ~fail_fast ~n ~(init : unit -> l)
     (f : l -> int -> (r, string) result) : r outcome array * l list =

@@ -22,6 +22,9 @@ type 'a outcome = Done of 'a | Failed of string | Skipped
 
 val outcome_ok : 'a outcome -> bool
 
+val of_result : ('a, string) result -> 'a outcome
+(** [Ok] is [Done], [Error] is [Failed]: how a journaled result replays. *)
+
 val map :
   ?should_stop:(unit -> bool) ->
   jobs:int ->

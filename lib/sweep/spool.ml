@@ -35,7 +35,7 @@ let grid_fingerprint grid =
       Buffer.add_char buf '\n')
     cells;
   Printf.sprintf "cells=%d;fp=%08x" (List.length cells)
-    (Engine.fnv1a (Buffer.contents buf))
+    (Journal.fnv1a (Buffer.contents buf))
 
 let init ~dir grid =
   Journal.mkdir_p dir;
@@ -221,48 +221,50 @@ let merge ?code_fp ~dir grid =
         |> List.filter (fun f -> Filename.check_suffix f ".journal")
         |> List.sort compare
       in
-      let tbl = Hashtbl.create (2 * n) in
-      let diags = ref [] in
-      List.iter
-        (fun f ->
-          let path = Filename.concat jdir f in
-          let records, ds =
-            (Journal.load ~path ~fp:(Engine.journal_header ())
-              : (Engine.verdict, string) result Journal.record list * _)
-          in
-          diags :=
-            !diags
-            @ List.map
+      let loaded =
+        List.map
+          (fun f ->
+            let records, diags =
+              (Journal.load ~path:(Filename.concat jdir f)
+                 ~fp:(Engine.journal_header ())
+                : (Engine.verdict, string) result Journal.record list * _)
+            in
+            ( records,
+              List.map
                 (fun d -> f ^ ": " ^ Journal.diagnostic_to_string d)
-                ds;
-          List.iter
-            (fun (r : _ Journal.record) -> Hashtbl.replace tbl r.Journal.key r)
-            records)
-        files;
-      let prefill = Array.make n None in
-      let missing = ref 0 in
-      Array.iteri
-        (fun i c ->
-          match Hashtbl.find_opt tbl (Engine.cell_key grid c) with
-          | Some (r : _ Journal.record)
-            when r.Journal.input_fp = Engine.input_fingerprint ?code_fp grid c
-            ->
-              prefill.(i) <- Some r.Journal.payload
-          | _ -> incr missing)
-        cells;
-      if !missing > 0 then
+                diags ))
+          files
+      in
+      let tbl = Journal.index (List.concat_map fst loaded) in
+      let outcomes =
+        Array.map
+          (fun c ->
+            match Hashtbl.find_opt tbl (Engine.cell_key grid c) with
+            | Some r
+              when r.Journal.input_fp = Engine.input_fingerprint ?code_fp grid c
+              ->
+                Some (Pool.of_result r.payload)
+            | _ -> None)
+          cells
+      in
+      let missing =
+        Array.fold_left
+          (fun k o -> if Option.is_none o then k + 1 else k)
+          0 outcomes
+      in
+      if missing > 0 then
         Error
           (Printf.sprintf
              "spool %s: %d of %d cells not yet journaled (run more workers, \
               then --merge)"
-             dir !missing n)
+             dir missing n)
       else
         Ok
-          (Engine.execute ~jobs:1 ~fail_fast:false ~prefill
-             ~resume0:
-               {
-                 Engine.no_resume with
-                 Engine.replayed = n;
-                 journal_diagnostics = !diags;
-               }
-             grid cells)
+          (Engine.assemble ~jobs:1 ~wall_s:0.0 ~locals:[] grid cells
+             {
+               Journal.outcomes = Array.map Option.get outcomes;
+               from_journal = Array.make n true;
+               replayed = n;
+               invalidated = 0;
+               diagnostics = List.concat_map snd loaded;
+             })

@@ -1,5 +1,4 @@
 module Pool = Pool
-module Packed_type = Packed_type
 module Journal = Journal
 module Lease = Lease
 module Spool = Spool

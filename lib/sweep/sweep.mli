@@ -1,11 +1,15 @@
-(** Multicore sweep engine behind the unified [Runtime.Config] API.
+(** Multicore sweep engine over the scenario layer.
 
     A {e sweep} evaluates a declarative campaign {!grid} — data type x
     algorithm x model point x fault plan x channel leg x seed — by
     sharding cells across a fixed pool of OCaml domains ({!Pool}).
-    Each cell builds one [Runtime.Config.t], runs it, and is judged
-    both end-to-end ([Runtime.ok]) and against the paper's Table 5
-    upper-bound formula for its class and algorithm.
+    Each cell is described as a [Scenario.t] and lowered through
+    [Scenario.Exec.Run(T).config_of], the one lowering every
+    closed-loop run shares; the engine runs the lowered config itself
+    and judges the report both end-to-end ([Runtime.ok]) and against
+    the paper's Table 5 upper-bound formula for its class and
+    algorithm.  The robustness matrix ({!robustness}) lowers its legs
+    the same way.
 
     {b Determinism.}  A cell's behaviour is a pure function of its
     coordinates: the per-cell RNG seed is {!derived_seed}, an FNV-1a
@@ -16,7 +20,7 @@
     are excluded from it. *)
 
 module Pool = Pool
-module Packed_type = Packed_type
+module Packed_type = Spec.Packed_type
 
 module Journal = Journal
 (** Checksummed append-only checkpoint journal (durable campaigns). *)
@@ -149,9 +153,17 @@ val eval_with_retry :
 (** Evaluate under the retry policy (no policy: one plain {!eval});
     also returns the number of attempts spent. *)
 
-val code_digest : unit -> string
-(** MD5 of the running binary (lazily computed once): folded into
-    input fingerprints so a rebuild invalidates journaled results. *)
+val env_string :
+  ?code_fp:string ->
+  max_events:int option ->
+  max_check_nodes:int option ->
+  checker:Core.Runtime.checker ->
+  unit ->
+  string
+(** Everything besides a job's coordinates that shapes a journaled
+    result: budgets, checker, compiler version, and a digest of the
+    running binary ([code_fp] overrides the digest — tests).  Sweep
+    cells and load shards both fold it into their input fingerprints. *)
 
 val input_fingerprint : ?code_fp:string -> grid -> cell -> int
 (** FNV-1a over the cell key plus everything else that shapes its
@@ -307,8 +319,6 @@ end
 val robustness :
   ?jobs:int ->
   ?should_stop:(unit -> bool) ->
-  ?config:Core.Reliable.config ->
-  ?per_proc:int ->
   model:Sim.Model.t ->
   x:Rat.t ->
   seed:int ->
@@ -316,7 +326,10 @@ val robustness :
   Core.Robustness.cell list
 (** The full (data type x nemesis case) robustness matrix, one pool
     job per cell, always in (type, case) order and identical for every
-    [jobs] count.  [fail_fast] is deliberately not offered —
+    [jobs] count.  Each cell runs both legs of its case — raw, and over
+    the reliable channel against the inflated model — on a closed loop
+    of three operations per process, lowered through
+    [Scenario.Exec].  [fail_fast] is deliberately not offered —
     certification needs every cell's verdict.  A job that dies becomes
     an aborted cell (which counts as flagged/detection), never a lost
     report. *)

@@ -8,16 +8,13 @@ let model = Sim.Model.make ~n:3 ~d:(rat 10 1) ~u:(rat 4 1) ~eps:(rat 1 1)
 let x = rat 5 1
 let seed = 7
 
-module Rob = Core.Robustness.Make (Spec.Register)
 module R = Core.Runtime.Make (Spec.Register)
 
-(* The sequential per-type matrix: every nemesis case through
-   [run_cell].  (The full multi-type driver is [Sweep.robustness],
-   covered by test_sweep.) *)
+(* The register's row of the matrix: every nemesis case, run inline.
+   (Pool-size independence is covered by test_sweep.) *)
 let run_matrix () =
-  List.map
-    (Rob.run_cell ~model ~x ~seed)
-    (Core.Robustness.default_cases ~seed model)
+  Sweep.robustness ~model ~x ~seed
+    [ Option.get (Sweep.Packed_type.find "register") ]
 
 let matrix = lazy (run_matrix ())
 

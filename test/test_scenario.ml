@@ -2,8 +2,7 @@
    shrinking are seed-deterministic, the shrinker minimizes the seeded
    ablation failure to (at most) the hand-written counterexample and
    reaches a fixpoint, the shrunk matrix witnesses bound tightness,
-   and the sweep/shard projections agree with the engines they lower
-   onto. *)
+   and the one-line JSON outcome is valid JSON for any scenario name. *)
 
 let counterexample = Scenario.Builtin.ablation_counterexample
 
@@ -170,52 +169,19 @@ let test_probe_needs_matrix () =
   | Ok _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Projections *)
+(* JSON outcome *)
 
-let test_sweep_projection () =
-  let grid = Sweep.default_grid in
-  List.iteri
-    (fun i cell ->
-      if i mod 17 = 0 then
-        let s = Scenario.of_sweep_cell grid cell in
-        let o = Scenario.run s in
-        match Sweep.eval grid cell with
-        | Error e -> Alcotest.failf "sweep eval failed: %s" e
-        | Ok v ->
-            Alcotest.(check bool)
-              (Sweep.cell_key grid cell ^ ": verdicts agree")
-              v.Sweep.ok o.Scenario.Exec.ok)
-    (Sweep.cells grid)
-
-let test_shard_projection () =
-  let s = Scenario.gen ~seed:2 in
+(* A UTF-8 name with a tab: the bytes of "é" must pass through
+   untouched (OCaml's %S writes them as \195\169, which JSON rejects)
+   and the tab must become \t.  An unknown data type aborts before
+   running, so every field, wall time included, is fixed. *)
+let test_json_outcome_escapes () =
   let s =
-    {
-      s with
-      Scenario.workload =
-        Scenario.Generated
-          {
-            arrival = Core.Workload.Poisson { rate = Rat.make 1 4 };
-            zipf = 0.9;
-            keys = 16;
-            ops = 120;
-          };
-      reliable = false;
-      faults = Sim.Fault.none;
-      algorithm = Scenario.Wtlw { x = Rat.zero; knob = Core.Ablation.Paper };
-    }
+    { (Scenario.with_name counterexample "caf\xc3\xa9\trun") with dt = "nope" }
   in
-  match Scenario.to_shard_config ~shards:2 s with
-  | Error e -> Alcotest.failf "shard lowering failed: %s" e
-  | Ok cfg ->
-      let pt = Option.get (Sweep.Packed_type.find s.Scenario.dt) in
-      let r = Shard.run ~jobs:1 cfg pt in
-      Alcotest.(check bool) "sharded scenario certifies" true
-        r.Shard.certified;
-      (* explicit schedules have no key structure to shard *)
-      (match Scenario.to_shard_config ~shards:2 counterexample with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "explicit workload must not shard")
+  Alcotest.(check string) "outcome JSON"
+    {|{"scenario": "café\trun", "passed": false, "certified": false, "linearizable": false, "converged": null, "predicate": false, "operations": 0, "pending": 0, "messages": 0, "events": 0, "faults": 0, "diagnostic": "unknown data type \"nope\"", "witness": null, "wall_s": 0.000}|}
+    (Scenario.Exec.json_of_outcome (Scenario.run s))
 
 let () =
   Alcotest.run "scenario"
@@ -247,9 +213,9 @@ let () =
           Alcotest.test_case "tightness witness" `Quick test_probe_tightness;
           Alcotest.test_case "needs a matrix" `Quick test_probe_needs_matrix;
         ] );
-      ( "projections",
+      ( "json",
         [
-          Alcotest.test_case "sweep cell" `Quick test_sweep_projection;
-          Alcotest.test_case "shard config" `Quick test_shard_projection;
+          Alcotest.test_case "outcome escapes UTF-8 and tabs" `Quick
+            test_json_outcome_escapes;
         ] );
     ]
