@@ -4,9 +4,11 @@
    family as produced before the sweep cells and robustness legs were
    lowered through [Scenario.Exec]: the sweep fingerprint of the
    reference grid (at two workload sizes), the robustness matrix JSON
-   at the CLI's default model point, X and seed, and the fingerprint of
-   a small skewed sharded load.  Any change to how a run is described,
-   seeded or lowered shows up here as a diff. *)
+   at the CLI's default model point, X and seed, the fingerprint of a
+   small skewed sharded load, and the ablation harness's outcome lines
+   for the queue and the register at the CLI's default model point, X
+   and seeds.  Any change to how a run is described, seeded or lowered
+   shows up here as a diff. *)
 
 let packed key =
   match Sweep.Packed_type.find key with
@@ -54,6 +56,19 @@ let test_shard_load () =
   check_golden "shard_queue_3x3000_zipf09.txt"
     (Shard.fingerprint (Shard.run ~jobs:2 cfg (packed "queue")))
 
+let ablation_lines (module T : Spec.Data_type.S) =
+  let module A = Core.Ablation.Make (T) in
+  String.concat ""
+    (List.map
+       (fun o -> Format.asprintf "%a@." Core.Ablation.pp_outcome o)
+       (A.report ~model ~x ~seeds:(List.init 8 (fun i -> i + 1))))
+
+let test_ablation_queue () =
+  check_golden "ablation_queue.txt" (ablation_lines (module Spec.Fifo_queue))
+
+let test_ablation_register () =
+  check_golden "ablation_register.txt" (ablation_lines (module Spec.Register))
+
 let () =
   Alcotest.run "golden"
     [
@@ -72,4 +87,11 @@ let () =
       ( "shard",
         [ Alcotest.test_case "3-shard zipf 0.9 queue load" `Quick test_shard_load ]
       );
+      ( "ablation",
+        [
+          Alcotest.test_case "queue outcomes, seeds 1-8" `Quick
+            test_ablation_queue;
+          Alcotest.test_case "register outcomes, seeds 1-8" `Quick
+            test_ablation_register;
+        ] );
     ]
