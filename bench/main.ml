@@ -550,18 +550,15 @@ let ablation_section () =
   Format.printf
     "admits the deterministic counterexample below; the repaired wait@.";
   Format.printf "(d - X + eps, the library default) survives it:@.";
-  let describe label (lin, converged) =
-    Format.printf "  %-22s linearizable=%b replicas-converged=%b@." label lin
-      converged
+  let describe label s =
+    let o = Scenario.run s in
+    Format.printf "  %-22s linearizable=%b replicas-converged=%b@." label
+      o.Scenario.Exec.linearizable
+      (o.Scenario.Exec.converged = Some true)
   in
-  describe "paper-verbatim"
-    (A.counterexample_run
-       ~timing_of:(fun model ~x -> Core.Wtlw.paper_timing model ~x)
-       ~fast_mutator:(Q.Enqueue 55) ~slow_mutator:(Q.Enqueue 66) ~probe:Q.Peek);
-  describe "repaired (default)"
-    (A.counterexample_run
-       ~timing_of:(fun model ~x -> Core.Wtlw.default_timing model ~x)
-       ~fast_mutator:(Q.Enqueue 55) ~slow_mutator:(Q.Enqueue 66) ~probe:Q.Peek)
+  let s = Scenario.Builtin.ablation_counterexample in
+  describe "paper-verbatim" s;
+  describe "repaired (default)" (Scenario.with_knob s Core.Ablation.Paper)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming trace pipeline: retention on vs off.                      *)

@@ -68,9 +68,25 @@ let make_model n d u eps =
   | Some eps -> Sim.Model.make ~n ~d ~u ~eps
   | None -> Sim.Model.make_optimal_eps ~n ~d ~u
 
-let make_x (model : Sim.Model.t) = function
-  | Some x -> x
-  | None -> Rat.div_int (Rat.sub model.d model.eps) 2
+(* X is checked here, once for every subcommand: a value outside
+   [0, d - eps], from the flag or from a scenario file, is a usage
+   error rather than an exception deep inside a run. *)
+let check_x (model : Sim.Model.t) x =
+  if Sim.Model.x_valid model x then Ok x
+  else
+    Error
+      (Printf.sprintf "X = %s must lie in [0, d - eps] = [0, %s]"
+         (Rat.to_string x)
+         (Rat.to_string (Rat.sub model.d model.eps)))
+
+(* [k] applied to the flag's X (default (d-eps)/2), or a usage error. *)
+let with_x (model : Sim.Model.t) x k =
+  match
+    check_x model
+      (Option.value x ~default:(Rat.div_int (Rat.sub model.d model.eps) 2))
+  with
+  | Ok x -> k x
+  | Error msg -> `Error (true, msg)
 
 (* ---------------- seeds and budgets ---------------- *)
 
@@ -263,17 +279,23 @@ let scenario_arg =
    a stray "ablation-counterexample" file in the working directory is
    not shadowed silently. *)
 let load_scenario ref_ : (Scenario.t, string) result =
-  if Sys.file_exists ref_ then Scenario.load ref_
-  else
-    match Scenario.Builtin.find ref_ with
-    | Some s -> Ok s
-    | None ->
-        Error
-          (Printf.sprintf
-             "%s: no such file, and no builtin scenario by that name \
-              (builtins: %s)"
-             ref_
-             (String.concat ", "
-                (List.map
-                   (fun (s : Scenario.t) -> s.Scenario.name)
-                   Scenario.Builtin.all)))
+  let loaded =
+    if Sys.file_exists ref_ then Scenario.load ref_
+    else
+      match Scenario.Builtin.find ref_ with
+      | Some s -> Ok s
+      | None ->
+          Error
+            (Printf.sprintf
+               "%s: no such file, and no builtin scenario by that name \
+                (builtins: %s)"
+               ref_
+               (String.concat ", "
+                  (List.map
+                     (fun (s : Scenario.t) -> s.Scenario.name)
+                     Scenario.Builtin.all)))
+  in
+  Result.bind loaded (fun (s : Scenario.t) ->
+      match s.algorithm with
+      | Wtlw { x; _ } -> Result.map (fun _ -> s) (check_x s.model x)
+      | Centralized | Tob -> Ok s)

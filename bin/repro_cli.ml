@@ -25,7 +25,7 @@ open Cli_common
 let tables_cmd =
   let run n d u eps x =
     let model = make_model n d u eps in
-    let x = make_x model x in
+    with_x model x @@ fun x ->
     Format.printf "model: %a, X = %a@." Sim.Model.pp model Rat.pp x;
     List.iter
       (fun table -> Format.printf "@.%a@." Bounds.Tables.pp_table table)
@@ -43,7 +43,7 @@ let tables_cmd =
    scenario run]. *)
 let run_scenario_ref ref_ =
   match load_scenario ref_ with
-  | Error msg -> `Error (false, msg)
+  | Error msg -> `Error (true, msg)
   | Ok s ->
       let o = Scenario.run s in
       Format.printf "%a@." Scenario.Exec.pp_outcome o;
@@ -60,7 +60,7 @@ let simulate_cmd =
     | Some ref_ -> run_scenario_ref ref_
     | None ->
     let model = make_model n d u eps in
-    let x = make_x model x in
+    with_x model x @@ fun x ->
     let (module T : Spec.Data_type.S) = Sweep.Packed_type.modl pt in
     let module E = Scenario.Exec.Run (T) in
     let algorithm =
@@ -191,7 +191,7 @@ let load_cmd =
   let run n d u eps x algo seed jobs checker pt shards ops keys arrival rate
       period trough burst zipf faults_s reliable json resume_dir journal_sync =
     let model = make_model n d u eps in
-    let x = make_x model x in
+    with_x model x @@ fun x ->
     let algorithm =
       match algo with
       | `Wtlw -> Core.Runtime.Wtlw { x }
@@ -325,7 +325,7 @@ let check_cmd =
                   s.Scenario.checker ))
     in
     match resolved with
-    | Error msg -> `Error (false, msg)
+    | Error msg -> `Error (true, msg)
     | Ok (pt, count, seed, checker) ->
     let (module T : Spec.Data_type.S) = Sweep.Packed_type.modl pt in
     let module M = Monitor.Make (T) in
@@ -614,7 +614,7 @@ let claims_cmd =
 let ablate_cmd =
   let run n d u eps x seed =
     let model = make_model n d u eps in
-    let x = make_x model x in
+    with_x model x @@ fun x ->
     let module A = Core.Ablation.Make (Spec.Fifo_queue) in
     Format.printf "model: %a, X = %a@.@." Sim.Model.pp model Rat.pp x;
     List.iter
@@ -667,7 +667,8 @@ let sync_cmd =
   Cmd.v
     (Cmd.info "sync"
        ~doc:
-         "Run one Lundelius-Lynch clock synchronization round and report           the achieved skew against the optimal bound (1-1/n)u.")
+         "Run one Lundelius-Lynch clock synchronization round and report \
+          the achieved skew against the optimal bound (1-1/n)u.")
     Term.(ret (const run $ n_arg $ d_arg $ u_arg $ seed_arg $ spread_arg))
 
 (* ---------------- faults ---------------- *)
@@ -688,18 +689,15 @@ let faults_cmd =
        seed and data type replace the individual flags. *)
     let resolved =
       match scenario with
-      | None ->
-          let model = make_model n d u eps in
-          Ok (model, make_x model x, seed, dtype)
+      | None -> Ok (make_model n d u eps, x, seed, dtype)
       | Some ref_ -> (
           match load_scenario ref_ with
           | Error msg -> Error msg
           | Ok s ->
               let x =
                 match s.Scenario.algorithm with
-                | Scenario.Wtlw { x; _ } -> x
-                | Scenario.Centralized | Scenario.Tob ->
-                    make_x s.Scenario.model None
+                | Scenario.Wtlw { x; _ } -> Some x
+                | Scenario.Centralized | Scenario.Tob -> None
               in
               Ok
                 ( s.Scenario.model,
@@ -708,8 +706,9 @@ let faults_cmd =
                   Sweep.Packed_type.find s.Scenario.dt ))
     in
     match resolved with
-    | Error msg -> `Error (false, msg)
+    | Error msg -> `Error (true, msg)
     | Ok (model, x, seed, dtype) ->
+    with_x model x @@ fun x ->
     let targets =
       match dtype with
       | Some pt -> [ pt ]
@@ -1207,35 +1206,36 @@ let bench_cmd =
 
 let finding_cmd =
   let run () =
-    let module A = Core.Ablation.Make (Spec.Fifo_queue) in
     Format.printf
       "Reproduction finding: the paper's accessor wait (d - X) is an eps \
        too@.short.  Deterministic counterexample (d=12, u=4, eps=3, X=3):@.\
        two concurrent enqueues with timestamps 197/2 < 99; the accessor \
        drain@.at p1 executes the later-stamped one first.@.@.";
-    let show label (lin, conv) =
+    let show label s =
+      let o = Scenario.run s in
       Format.printf "  %-20s linearizable=%-5b replicas-converged=%b@." label
-        lin conv
+        o.Scenario.Exec.linearizable
+        (o.Scenario.Exec.converged = Some true);
+      o.Scenario.Exec.certified
     in
-    show "paper-verbatim"
-      (A.counterexample_run
-         ~timing_of:(fun model ~x -> Core.Wtlw.paper_timing model ~x)
-         ~fast_mutator:(Spec.Fifo_queue.Enqueue 55)
-         ~slow_mutator:(Spec.Fifo_queue.Enqueue 66)
-         ~probe:Spec.Fifo_queue.Peek);
-    show "repaired"
-      (A.counterexample_run
-         ~timing_of:(fun model ~x -> Core.Wtlw.default_timing model ~x)
-         ~fast_mutator:(Spec.Fifo_queue.Enqueue 55)
-         ~slow_mutator:(Spec.Fifo_queue.Enqueue 66)
-         ~probe:Spec.Fifo_queue.Peek);
-    `Ok ()
+    let s = Scenario.Builtin.ablation_counterexample in
+    let verbatim = show "paper-verbatim" s in
+    let repaired = show "repaired" (Scenario.with_knob s Core.Ablation.Paper) in
+    if (not verbatim) && repaired then `Ok ()
+    else
+      `Error
+        ( false,
+          "the paper-verbatim leg must fail certification and the repaired \
+           leg must certify" )
   in
   Cmd.v
     (Cmd.info "finding"
        ~doc:
-         "Demonstrate the accessor-wait counterexample against the paper's \
-          verbatim pseudocode, and that the repaired timing survives it.")
+         "Demonstrate the accessor-wait counterexample (the builtin \
+          scenario ablation-counterexample) against the paper's verbatim \
+          pseudocode, and that the repaired timing survives it.  Exits \
+          nonzero unless the verbatim leg fails certification and the \
+          repaired leg certifies.")
     Term.(ret (const run $ const ()))
 
 (* ---------------- scenario ---------------- *)
@@ -1405,7 +1405,7 @@ let scenario_shrink_cmd =
   let json_arg = json_path_arg ~doc:scenario_json_doc in
   let run ref_ out max_attempts probe json_path =
     match load_scenario ref_ with
-    | Error msg -> `Error (false, msg)
+    | Error msg -> `Error (true, msg)
     | Ok s -> (
         match Scenario.shrink ~max_attempts s with
         | Error msg -> `Error (false, msg)

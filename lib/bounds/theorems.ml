@@ -35,7 +35,7 @@ let thm5_sum (model : Sim.Model.t) = Rat.add model.d (slack_m model)
 (** {1 Upper bounds: Lemma 4, achieved by Algorithm 1} *)
 
 let check_x (model : Sim.Model.t) x =
-  if not (Rat.in_range ~lo:Rat.zero ~hi:(Rat.sub model.d model.eps) x) then
+  if not (Sim.Model.x_valid model x) then
     invalid_arg "Theorems: X must lie in [0, d - eps]"
 
 (** What the paper claims for pure accessors: [d - X].  Our

@@ -72,8 +72,7 @@ let pp_outcome ppf o =
     (if sound o then "" else "  <- VIOLATION CAUGHT")
 
 module Make (T : Spec.Data_type.S) = struct
-  module Algo = Wtlw.Make (T)
-  module Checker = Lin.Checker.Make (T)
+  module R = Runtime.Make (T)
 
   (* One adversarial scenario: maximal clock skew between p1 and p2,
      and a delay matrix that delivers p1's messages as fast as possible
@@ -93,35 +92,17 @@ module Make (T : Spec.Data_type.S) = struct
        two racing mutators arrive in opposite orders at p0 and p3. *)
     matrix.(1).(0) <- Sim.Model.min_delay model;
     matrix.(2).(3) <- Sim.Model.min_delay model;
-    let timing = timing_of_knob model ~x knob in
-    let cluster =
-      Algo.create_with_timing ~model ~timing ~offsets
-        ~delay:(Sim.Net.matrix matrix) ()
-    in
     let rng = Random.State.make [| seed |] in
-    let mutator_invocations proc count start spacing =
-      List.init count (fun k ->
-          let rec pick () =
-            let inv = T.gen_invocation rng in
-            if Spec.Op_kind.is_mutator (List.assoc (T.op_of inv) T.operations)
-            then inv
-            else pick ()
-          in
-          Workload.entry ~proc
-            ~at:(Rat.add start (Rat.mul_int spacing k))
-            (pick ()))
+    (* Draw invocations until one whose operation class [keep] accepts. *)
+    let rec pick keep =
+      let inv = T.gen_invocation rng in
+      if keep (List.assoc (T.op_of inv) T.operations) then inv else pick keep
     in
-    let accessor_invocations proc count start spacing =
+    let spaced keep proc count start spacing =
       List.init count (fun k ->
-          let rec pick () =
-            let inv = T.gen_invocation rng in
-            match List.assoc (T.op_of inv) T.operations with
-            | Spec.Op_kind.Pure_accessor -> inv
-            | Spec.Op_kind.Pure_mutator | Spec.Op_kind.Mixed -> pick ()
-          in
           Workload.entry ~proc
             ~at:(Rat.add start (Rat.mul_int spacing k))
-            (pick ()))
+            (pick keep))
     in
     let spacing = Rat.add (Rat.mul_int model.d 2) Rat.one in
     (* The opening race: an accessor invoked the instant a pure
@@ -130,47 +111,36 @@ module Make (T : Spec.Data_type.S) = struct
        mutation's broadcast still being in flight. *)
     let ack_wait = Rat.add x model.eps in
     let race =
-      let pure_mutator proc at =
-        let rec pick () =
-          let inv = T.gen_invocation rng in
-          match List.assoc (T.op_of inv) T.operations with
-          | Spec.Op_kind.Pure_mutator -> inv
-          | Spec.Op_kind.Pure_accessor | Spec.Op_kind.Mixed -> pick ()
-        in
-        Workload.entry ~proc ~at (pick ())
-      in
-      let accessor proc at =
-        let rec pick () =
-          let inv = T.gen_invocation rng in
-          match List.assoc (T.op_of inv) T.operations with
-          | Spec.Op_kind.Pure_accessor -> inv
-          | Spec.Op_kind.Pure_mutator | Spec.Op_kind.Mixed -> pick ()
-        in
-        Workload.entry ~proc ~at (pick ())
-      in
       [
-        pure_mutator 2 Rat.zero;
-        accessor 0 (Rat.add ack_wait (Rat.make 1 50));
+        Workload.entry ~proc:2 ~at:Rat.zero
+          (pick Spec.Op_kind.(equal Pure_mutator));
+        Workload.entry ~proc:0
+          ~at:(Rat.add ack_wait (Rat.make 1 50))
+          (pick Spec.Op_kind.(equal Pure_accessor));
       ]
     in
     let start = Rat.mul_int spacing 1 in
     let schedule =
       race
-      @ mutator_invocations 1 4 start spacing
-      @ mutator_invocations 2 4 (Rat.add start (Rat.make 1 10)) spacing
-      @ accessor_invocations 0 4 (Rat.mul_int spacing 6) spacing
-      @ accessor_invocations 3 4
+      @ spaced Spec.Op_kind.is_mutator 1 4 start spacing
+      @ spaced Spec.Op_kind.is_mutator 2 4 (Rat.add start (Rat.make 1 10))
+          spacing
+      @ spaced Spec.Op_kind.(equal Pure_accessor) 0 4 (Rat.mul_int spacing 6)
+          spacing
+      @ spaced
+          Spec.Op_kind.(equal Pure_accessor)
+          3 4
           (Rat.add (Rat.mul_int spacing 6) (Rat.make 1 7))
           spacing
     in
-    List.iter
-      (fun { Workload.proc; at; inv } ->
-        Sim.Engine.schedule_invoke cluster.engine ~at ~proc inv)
-      (Workload.sort_schedule schedule);
-    Sim.Engine.run cluster.engine;
-    let trace = Sim.Engine.trace cluster.engine in
-    ( Checker.trace_linearizable trace,
-      Algo.replicas_converged cluster )
+    let report =
+      R.run
+        (R.Config.make ~checker:Wing_gong
+           ~timing:(fun model ~x -> timing_of_knob model ~x knob)
+           ~model ~offsets ~delay:(Sim.Net.matrix matrix)
+           ~algorithm:(Wtlw { x }) ~workload:(Schedule schedule) ())
+    in
+    (Option.is_some report.linearization, report.converged = Some true)
 
   let evaluate ~model ~x ~seeds knob =
     let results =
@@ -196,41 +166,4 @@ module Make (T : Spec.Data_type.S) = struct
 
   let report ~model ~x ~seeds =
     List.map (evaluate ~model ~x ~seeds) (default_knobs model ~x)
-
-  (* The deterministic counterexample to the paper's accessor wait.
-     Parameters d = 12, u = 4, eps = 3, X = 3; offsets (0, eps, 0, 0).
-     Two mutators race: [slow_mutator] (smaller timestamp 197/2, issued
-     at p3, delivered to p1 with delay d) and [fast_mutator] (timestamp
-     99, issued at p2, delivered to p1 with delay d - u).  An accessor
-     at p1 invoked at real time 100 has backdated timestamp 100 and —
-     with the paper's wait d - X — drains at real time 109, executing
-     the fast mutator while the slow, smaller-timestamped one is still
-     in flight (it lands at 110.5).  Replica p1 then holds the two
-     mutations in the opposite order from everyone else; the trailing
-     accessors at p0 and p1 observe the divergence.  [accessors] probe
-     the state afterwards from two processes. *)
-  let counterexample_run ~timing_of ~fast_mutator ~slow_mutator ~probe =
-    let rat = Rat.make in
-    let model =
-      Sim.Model.make ~n:4 ~d:(rat 12 1) ~u:(rat 4 1) ~eps:(rat 3 1)
-    in
-    let x = rat 3 1 in
-    let offsets = [| Rat.zero; rat 3 1; Rat.zero; Rat.zero |] in
-    let matrix = Sim.Net.uniform_matrix ~n:4 (rat 10 1) in
-    matrix.(2).(1) <- rat 8 1;
-    matrix.(3).(1) <- rat 12 1;
-    let cluster =
-      Algo.create_with_timing ~model ~timing:(timing_of model ~x) ~offsets
-        ~delay:(Sim.Net.matrix matrix) ()
-    in
-    Sim.Engine.schedule_invoke cluster.engine ~at:(rat 197 2) ~proc:3
-      slow_mutator;
-    Sim.Engine.schedule_invoke cluster.engine ~at:(rat 99 1) ~proc:2
-      fast_mutator;
-    Sim.Engine.schedule_invoke cluster.engine ~at:(rat 100 1) ~proc:1 probe;
-    Sim.Engine.schedule_invoke cluster.engine ~at:(rat 140 1) ~proc:0 probe;
-    Sim.Engine.schedule_invoke cluster.engine ~at:(rat 141 1) ~proc:1 probe;
-    Sim.Engine.run cluster.engine;
-    ( Checker.trace_linearizable (Sim.Engine.trace cluster.engine),
-      Algo.replicas_converged cluster )
 end

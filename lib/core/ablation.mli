@@ -4,11 +4,13 @@
     Each {!knob} removes or shortens one of the algorithm's waiting
     periods; {!Make.evaluate} runs adversarial scenarios against the
     variant and reports whether the linearizability checker catches a
-    violation or the replicas diverge.  {!Make.counterexample_run} is
-    the deterministic scenario behind the reproduction finding: the
-    paper's verbatim accessor wait produces a non-linearizable
-    admissible run, the repaired default survives the identical
-    schedule. *)
+    violation or the replicas diverge.  Every run goes through
+    [Runtime.Make(T).run] with the knob as its [timing] override.  The
+    deterministic scenario behind the reproduction finding (the paper's
+    verbatim accessor wait produces a non-linearizable admissible run,
+    the repaired default survives the identical schedule) is the
+    builtin scenario [ablation-counterexample]
+    ([Scenario.Builtin.ablation_counterexample]). *)
 
 type knob =
   | Paper  (** the repaired Algorithm 1 (library default), the control *)
@@ -50,17 +52,4 @@ module Make (T : Spec.Data_type.S) : sig
   val report :
     model:Sim.Model.t -> x:Rat.t -> seeds:int list -> outcome list
   (** {!evaluate} over {!default_knobs}. *)
-
-  val counterexample_run :
-    timing_of:(Sim.Model.t -> x:Rat.t -> Wtlw.timing) ->
-    fast_mutator:T.invocation ->
-    slow_mutator:T.invocation ->
-    probe:T.invocation ->
-    bool * bool
-  (** The deterministic finding scenario (EXPERIMENTS.md §Finding):
-      [slow_mutator] gets the smaller timestamp but the longer delay to
-      the probing process.  Requires the two mutators to be
-      non-commuting pure mutators and [probe] a pure accessor that
-      distinguishes their orders.  Returns
-      [(linearizable, replicas_converged)]. *)
 end

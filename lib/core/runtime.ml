@@ -6,8 +6,11 @@
     There is a single entry point, [run : Config.t -> report]: the
     [Config] record names every knob (checking, event retention, fault
     plan, step limit, reliable-channel leg, model, offsets, delay,
-    algorithm, workload), so the sweep engine, the CLI, the bench and
-    the robustness matrix all describe a run the same way. *)
+    algorithm, workload), so the sweep engine, the CLI, the bench, the
+    robustness matrix and the ablation harness all describe a run the
+    same way.  [run] is also the one cluster builder: every algorithm is
+    built from its protocol handlers on one engine, and the reliable
+    leg only swaps the judged model and wraps the handlers. *)
 
 (* The algorithm choice does not depend on the data type, so it lives
    outside the functor — the sweep engine enumerates algorithms without
@@ -195,49 +198,20 @@ module Make (T : Spec.Data_type.S) = struct
         done);
     Sim.Engine.run ?max_events ?deadline engine
 
-  (* Assemble a report from the trace's incremental sink snapshots:
-     counters, pairing and admissibility are O(1) lookups, so the only
-     remaining pass is over completed operations (for the checker),
-     never over raw events. *)
-  let report_of_trace ?(skew_admissible = true) ?(checker = Monitor) ~model
-      ~algorithm ~check trace =
-    let operations = Sim.Trace.operations trace in
-    let linearization, checked_by =
-      if check then
-        let lin, label = certify ~checker operations in
-        (lin, Some label)
-      else (None, None)
-    in
-    let hist = Metrics.Hist.create () in
-    List.iter (fun op -> Metrics.Hist.add hist (Metrics.latency op)) operations;
-    {
-      algorithm;
-      operations;
-      linearization;
-      checked_by;
-      by_op = Metrics.by_op ~op_of:T.op_of operations;
-      by_kind = Metrics.by_kind ~kind_of operations;
-      hist;
-      messages = Sim.Trace.send_count trace;
-      events = Sim.Trace.event_count trace;
-      pending = Sim.Trace.pending_count trace;
-      delays_admissible = Sim.Trace.delays_admissible model trace;
-      skew_admissible;
-      faults = Sim.Trace.fault_counts trace;
-      truncated = false;
-      channel = None;
-      converged = None;
-    }
-
-  (* Streaming variant used by [run]: latency summaries accumulate in
-     [Metrics.Grouped] sinks as responses are recorded, so the report
-     needs no per-operation metric pass afterwards.  A run that hits
-     the step limit is not lost: the sinks hold everything up to the
-     truncation point, so the report is returned with
+  (* Create the engine on the judged model and assemble the report
+     from the trace's streaming sinks: counters, pairing and
+     admissibility are O(1) lookups, and latency summaries accumulate
+     in [Metrics.Grouped] sinks as responses are recorded, so the
+     report needs no per-operation metric pass afterwards.  A run that
+     hits the step limit is not lost: the sinks hold everything up to
+     the truncation point, so the report is returned with
      [truncated = true] (and typically [pending > 0]). *)
-  let report_of_run (type m g) ?max_events ?max_check_nodes ?deadline
-      ?(checker = Monitor) ?channel ~(model : Sim.Model.t) ~algorithm ~check
-      (engine : (m, g, T.invocation, T.response) Sim.Engine.t) workload =
+  let report_of_run (cfg : Config.t) ~(judged : Sim.Model.t) ?channel
+      ~algorithm handlers =
+    let engine =
+      Sim.Engine.create ~retain_events:cfg.retain_events ~faults:cfg.faults
+        ~model:judged ~offsets:cfg.offsets ~delay:cfg.delay ~handlers ()
+    in
     let trace = Sim.Engine.trace engine in
     let by_op_acc = Metrics.Grouped.create () in
     let by_kind_acc = Metrics.Grouped.create () in
@@ -254,15 +228,19 @@ module Make (T : Spec.Data_type.S) = struct
        named [Cell_timeout] diagnostic, mirroring how
        [Lin.Checker.Node_budget_exceeded] is surfaced. *)
     let truncated =
-      match drive ?max_events ?deadline ~model engine workload with
+      match
+        drive ?max_events:cfg.max_events ?deadline:cfg.deadline ~model:judged
+          engine cfg.workload
+      with
       | () -> false
       | exception Sim.Engine.Step_limit_exceeded _ -> true
     in
     let operations = Sim.Trace.operations trace in
     let linearization, checked_by =
-      if check then
+      if cfg.check then
         let lin, label =
-          certify ?max_nodes:max_check_nodes ~checker operations
+          certify ?max_nodes:cfg.max_check_nodes ~checker:cfg.checker
+            operations
         in
         (lin, Some label)
       else (None, None)
@@ -278,122 +256,65 @@ module Make (T : Spec.Data_type.S) = struct
       messages = Sim.Trace.send_count trace;
       events = Sim.Trace.event_count trace;
       pending = Sim.Trace.pending_count trace;
-      delays_admissible = Sim.Trace.delays_admissible model trace;
+      delays_admissible = Sim.Trace.delays_admissible judged trace;
       skew_admissible =
-        Sim.Model.skew_valid model (Sim.Engine.effective_offsets engine);
+        Sim.Model.skew_valid judged (Sim.Engine.effective_offsets engine);
       faults = Sim.Trace.fault_counts trace;
       truncated;
       channel;
       converged = None;
     }
 
-  (* Direct leg: the algorithm straight on the configured network,
-     judged against the configured model. *)
-  let run_direct (cfg : Config.t) =
-    let { Config.model; offsets; delay; algorithm; workload; _ } = cfg in
-    let name = algorithm_name algorithm in
-    let finish (type m g)
-        (engine : (m, g, T.invocation, T.response) Sim.Engine.t) =
-      report_of_run ?max_events:cfg.max_events
-        ?max_check_nodes:cfg.max_check_nodes ?deadline:cfg.deadline
-        ~checker:cfg.checker ~model ~algorithm:name ~check:cfg.check engine
-        workload
+  (* The one cluster builder.  Each algorithm is built from its
+     protocol handlers on one engine; the two legs differ only in the
+     model they are judged against.  Direct leg ([channel = None]): the
+     algorithm straight on the configured network, judged against the
+     configured model.  Recovered leg ([channel = Some config]): the
+     same handlers wrapped by the reliable channel ([Reliable.wrap]) on
+     a faulty network, judged against the inflated model
+     [d' = d + retry budget] the channel implements.  The algorithm's
+     internal timing, the X-range check, the admissibility and skew
+     verdicts and the checker all use the judged model. *)
+  let run (cfg : Config.t) =
+    let judged =
+      match cfg.channel with
+      | None -> cfg.model
+      | Some config ->
+          Reliable.inflated_model
+            ~extra_skew:(Sim.Fault.extra_skew cfg.faults)
+            ~max_spike:(Sim.Fault.max_spike cfg.faults) config cfg.model
     in
-    let retain_events = cfg.retain_events and faults = cfg.faults in
-    match algorithm with
+    let start handlers =
+      let algorithm = algorithm_name cfg.algorithm in
+      match cfg.channel with
+      | None -> report_of_run cfg ~judged ~algorithm handlers
+      | Some config ->
+          let handlers, stats = Reliable.wrap ~config ~n:judged.n handlers in
+          report_of_run cfg ~judged
+            ~channel:{ config; effective = judged; stats }
+            ~algorithm:(algorithm ^ "+reliable") handlers
+    in
+    match cfg.algorithm with
     | Wtlw { x } ->
-        (* An explicit timing override (the ablation knobs) bypasses
-           [create]'s X-validity check on purpose: the overridden
-           timings are deliberately outside the sound envelope. *)
-        let cluster =
-          match cfg.timing with
-          | None ->
-              Wtlw_impl.create ~retain_events ~faults ~model ~x ~offsets
-                ~delay ()
-          | Some timing_of ->
-              Wtlw_impl.create_with_timing ~retain_events ~faults ~model
-                ~timing:(timing_of model ~x) ~offsets ~delay ()
-        in
-        let report = finish cluster.engine in
-        { report with converged = Some (Wtlw_impl.replicas_converged cluster) }
-    | Centralized ->
-        let cluster =
-          Centralized_impl.create ~retain_events ~faults ~model ~offsets
-            ~delay ()
-        in
-        finish cluster.engine
-    | Tob ->
-        let cluster =
-          Tob_impl.create ~retain_events ~faults ~model ~offsets ~delay ()
-        in
-        finish cluster.engine
-
-  (* Recovered leg: run the algorithm unmodified over the reliable
-     channel ([Reliable.wrap]) on a faulty network, and judge the
-     result against the inflated model [d' = d + retry budget] the
-     channel implements.  The report's admissibility/skew verdicts, the
-     algorithm's internal timing, and the checker all use that inflated
-     model — this is the "recovered" leg of the robustness matrix. *)
-  let run_recovered (cfg : Config.t) config =
-    let { Config.model; offsets; delay; algorithm; workload; faults; _ } =
-      cfg
-    in
-    let effective =
-      Reliable.inflated_model ~extra_skew:(Sim.Fault.extra_skew faults)
-        ~max_spike:(Sim.Fault.max_spike faults) config model
-    in
-    let name = algorithm_name algorithm ^ "+reliable" in
-    let finish (type m g)
-        (engine : (m, g, T.invocation, T.response) Sim.Engine.t) stats =
-      report_of_run ?max_events:cfg.max_events
-        ?max_check_nodes:cfg.max_check_nodes ?deadline:cfg.deadline
-        ~checker:cfg.checker
-        ~channel:{ config; effective; stats }
-        ~model:effective ~algorithm:name ~check:cfg.check engine workload
-    in
-    let create_engine handlers =
-      Sim.Engine.create ~retain_events:cfg.retain_events ~faults
-        ~model:effective ~offsets ~delay ~handlers ()
-    in
-    match algorithm with
-    | Wtlw { x } ->
+        (* An explicit timing override (the ablation knobs) skips the
+           X-range check on purpose: the overridden timings are
+           deliberately outside the sound envelope. *)
         let timing =
           match cfg.timing with
+          | Some timing_of -> timing_of judged ~x
           | None ->
-              if
-                not
-                  (Rat.in_range ~lo:Rat.zero
-                     ~hi:(Rat.sub effective.d effective.eps)
-                     x)
-              then invalid_arg "Runtime.run: X outside [0, d' - eps']";
-              Wtlw.default_timing effective ~x
-          | Some timing_of -> timing_of effective ~x
+              if not (Sim.Model.x_valid judged x) then
+                invalid_arg "Runtime.run: X must lie in [0, d - eps]";
+              Wtlw.default_timing judged ~x
         in
-        let states = Wtlw_impl.fresh_states ~n:effective.n in
-        let handlers, stats =
-          Reliable.wrap ~config ~n:effective.n
-            (Wtlw_impl.protocol ~timing states)
-        in
-        let report = finish (create_engine handlers) stats in
+        let states = Wtlw_impl.fresh_states ~n:judged.n in
+        let report = start (Wtlw_impl.protocol ~timing states) in
         { report with converged = Some (Wtlw_impl.states_converged states) }
     | Centralized ->
-        let handlers, stats =
-          Reliable.wrap ~config ~n:effective.n
-            (Centralized_impl.protocol (Centralized_impl.fresh_hub ()))
-        in
-        finish (create_engine handlers) stats
+        start (Centralized_impl.protocol (Centralized_impl.fresh_hub ()))
     | Tob ->
-        let states = Tob_impl.fresh_states ~n:effective.n in
-        let handlers, stats =
-          Reliable.wrap ~config ~n:effective.n
-            (Tob_impl.protocol ~model:effective states)
-        in
-        finish (create_engine handlers) stats
-
-  let run (cfg : Config.t) =
-    match cfg.channel with
-    | None -> run_direct cfg
-    | Some config -> run_recovered cfg config
+        start
+          (Tob_impl.protocol ~model:judged (Tob_impl.fresh_states ~n:judged.n))
 
   (* A run is accepted when every operation completed, the run was not
      truncated, delays and clock skew were admissible, and a

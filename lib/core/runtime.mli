@@ -136,9 +136,9 @@ module Make (T : Spec.Data_type.S) : sig
           (** override Algorithm 1's five waiting periods (the ablation
               knobs, [Core.Ablation.timing_of_knob]); applied to the
               model the run is judged against (the inflated model on
-              reliable legs).  Overrides skip [Wtlw.Make.create]'s
-              X-validity check — ablation timings are deliberately
-              outside the sound envelope.  Ignored by the baselines.
+              reliable legs).  Overrides skip [run]'s X-validity
+              check — ablation timings are deliberately outside the
+              sound envelope.  Ignored by the baselines.
               [None] (the default): the repaired
               {!Wtlw.default_timing}. *)
       model : Sim.Model.t;
@@ -180,24 +180,17 @@ module Make (T : Spec.Data_type.S) : sig
       Injected faults show up in the report's [faults] counters and its
       admissibility / pending / linearization verdicts.  A run
       exceeding [max_events] is returned as a partial report with
-      [truncated = true] rather than raising.
+      [truncated = true] rather than raising.  Both legs build the
+      algorithm from its protocol handlers on one engine; a reliable
+      leg ([channel] set) wraps them in {!Reliable.wrap} and is judged
+      against [Reliable.inflated_model].
+      @raise Invalid_argument when the algorithm is [Wtlw] with no
+      [timing] override and X is outside [[0, d - eps]] of the model
+      the run is judged against.
       @raise Lin.Checker.Node_budget_exceeded when [max_check_nodes]
       is set and the linearizability search exceeds it.
       @raise Sim.Engine.Deadline_exceeded when [deadline] is set and
       reports expiry mid-run. *)
-
-  val report_of_trace :
-    ?skew_admissible:bool ->
-    ?checker:checker ->
-    model:Sim.Model.t ->
-    algorithm:string ->
-    check:bool ->
-    ('msg, T.invocation, T.response) Sim.Trace.t ->
-    report
-  (** Summarize an existing trace (e.g. a hand-built or truncated one)
-      from its sink snapshots.  [skew_admissible] (default [true])
-      must be supplied by the caller — a bare trace does not know the
-      offsets the run used. *)
 
   val ok : report -> bool
   (** Every operation completed ([pending = 0]), the run was not

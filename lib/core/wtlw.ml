@@ -27,9 +27,10 @@
     mutator speed (following Chaudhuri–Gawlick–Lynch). *)
 
 (* The five waiting periods Algorithm 1 is built from.  The default
-   values below are exactly the paper's; {!Make.create_with_timing}
-   accepts altered values so that the ablation harness can demonstrate
-   that each wait is load-bearing (see [Core.Ablation]). *)
+   values below are exactly the paper's; {!Make.protocol} accepts
+   altered values (through [Runtime.Config.timing]) so that the
+   ablation harness can demonstrate that each wait is load-bearing
+   (see [Core.Ablation]). *)
 type timing = {
   accessor_wait : Rat.t;  (** respond a pure accessor after this; paper: d - X *)
   accessor_backdate : Rat.t;  (** subtract from accessor timestamps; paper: X *)
@@ -191,8 +192,13 @@ module Make (T : Spec.Data_type.S) = struct
     in
     { Sim.Engine.on_invoke; on_receive; on_timer }
 
-  let create_with_timing ?retain_events ?faults ~(model : Sim.Model.t) ~timing
-      ~offsets ~delay () =
+  (* Algorithm 1 with the repaired default timing derived from the
+     model and the tradeoff parameter X in [0, d - eps]. *)
+  let create ?retain_events ?faults ~(model : Sim.Model.t) ~x ~offsets ~delay
+      () =
+    if not (Sim.Model.x_valid model x) then
+      invalid_arg "Wtlw.create: X must lie in [0, d - eps]";
+    let timing = default_timing model ~x in
     let states = fresh_states ~n:model.n in
     let engine =
       Sim.Engine.create ?retain_events ?faults ~model ~offsets ~delay
@@ -200,15 +206,6 @@ module Make (T : Spec.Data_type.S) = struct
         ()
     in
     { engine; states; timing }
-
-  (* Algorithm 1 exactly as published: the default timing derived from
-     the model and the tradeoff parameter X in [0, d - eps]. *)
-  let create ?retain_events ?faults ~(model : Sim.Model.t) ~x ~offsets ~delay
-      () =
-    if not (Rat.in_range ~lo:Rat.zero ~hi:(Rat.sub model.d model.eps) x) then
-      invalid_arg "Wtlw.create: X must lie in [0, d - eps]";
-    create_with_timing ?retain_events ?faults ~model
-      ~timing:(default_timing model ~x) ~offsets ~delay ()
 
   let replica_state t i = t.states.(i).store
 

@@ -57,7 +57,10 @@ module Make (T : Spec.Data_type.S) : sig
     (msg, tag, T.invocation, T.response) Sim.Engine.handlers
   (** The algorithm's handler triple over the given replica states,
       decoupled from engine construction so it can also run wrapped by
-      the reliable channel ([Core.Reliable]) over a lossy network. *)
+      the reliable channel ([Core.Reliable]) over a lossy network.
+      [timing] is taken as given, with no validity checks: the ablation
+      knobs reach the algorithm this way, through
+      [Core.Runtime.Config.timing]. *)
 
   val create :
     ?retain_events:bool ->
@@ -70,17 +73,6 @@ module Make (T : Spec.Data_type.S) : sig
     t
   (** Algorithm 1 with the (repaired) default timing.
       @raise Invalid_argument if [x] is outside [[0, d - eps]]. *)
-
-  val create_with_timing :
-    ?retain_events:bool ->
-    ?faults:Sim.Fault.plan ->
-    model:Sim.Model.t ->
-    timing:timing ->
-    offsets:Rat.t array ->
-    delay:Sim.Net.t ->
-    unit ->
-    t
-  (** Arbitrary timing — for fault injection; no validity checks. *)
 
   val replica_state : t -> int -> T.state
   (** Read-only view of one replica, for convergence checks. *)

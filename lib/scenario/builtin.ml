@@ -1,12 +1,13 @@
 (* Named scenarios shipped with the repository.
 
    The two ablation counterexamples encode the reproduction finding
-   (EXPERIMENTS.md / [Core.Ablation.counterexample_run]) as scenario
-   data: under the paper's verbatim accessor wait [d - X] the schedule
-   is not linearizable and the replicas diverge; flipping the knob to
-   the repaired timing ([Types.with_knob]) certifies the identical
-   schedule.  They are also the seeded failures the shrinker is tested
-   against. *)
+   (EXPERIMENTS.md §Finding) as scenario data: under the paper's
+   verbatim accessor wait [d - X] the schedule is not linearizable and
+   the replicas diverge; flipping the knob to the repaired timing
+   ([Types.with_knob]) certifies the identical schedule.
+   [ablation_counterexample] is the one copy of the finding: [repro
+   finding] and the bench run it.  Both are also the seeded failures
+   the shrinker is tested against. *)
 
 open Types
 

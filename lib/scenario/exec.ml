@@ -63,7 +63,7 @@ let runtime_algorithm = function
   | Tob -> Core.Runtime.Tob
 
 (* The ablation knob becomes a [Config.timing] override; the repaired
-   default knob lowers to [None] so the validated [create] path runs. *)
+   default knob lowers to [None] so [Runtime.run] validates X. *)
 let timing_override (s : t) =
   match s.algorithm with
   | Wtlw { knob = Core.Ablation.Paper; _ } -> None

@@ -13,6 +13,7 @@ let make_optimal_eps ~n ~d ~u = make ~n ~d ~u ~eps:(optimal_eps_of ~n ~u)
 let min_delay m = Rat.sub m.d m.u
 let optimal_eps m = optimal_eps_of ~n:m.n ~u:m.u
 let delay_valid m delay = Rat.in_range ~lo:(min_delay m) ~hi:m.d delay
+let x_valid m x = Rat.in_range ~lo:Rat.zero ~hi:(Rat.sub m.d m.eps) x
 
 let skew_valid m offsets =
   if Array.length offsets <> m.n then

@@ -28,6 +28,10 @@ val optimal_eps : t -> Rat.t
 val delay_valid : t -> Rat.t -> bool
 (** Is a single message delay admissible, i.e. within [[d - u, d]]? *)
 
+val x_valid : t -> Rat.t -> bool
+(** Is [x] an admissible value of Algorithm 1's tradeoff parameter X,
+    i.e. within [[0, d - eps]]? *)
+
 val skew_valid : t -> Rat.t array -> bool
 (** Are clock offsets pairwise within [eps]? The array must have length
     [n]. *)

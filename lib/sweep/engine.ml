@@ -725,8 +725,12 @@ let robustness_leg dt ~model ~x ~seed ~recovered plan : Core.Robustness.leg =
    legs reuse the caller's seed), so the matrix is identical for every
    [jobs] count and is always returned in (type, case) order.
    fail_fast is deliberately not offered: certification semantics
-   require every cell's verdict. *)
+   require every cell's verdict.  An X outside [0, d - eps] is rejected
+   up front: every raw leg would abort, and an aborted leg counts as
+   detection, so the matrix would report itself certified. *)
 let robustness ?(jobs = 1) ?should_stop ~model ~x ~seed types =
+  if not (Sim.Model.x_valid model x) then
+    invalid_arg "Sweep.robustness: X must lie in [0, d - eps]";
   let work =
     Array.of_list
       (List.concat_map

@@ -332,4 +332,6 @@ val robustness :
     [Scenario.Exec].  [fail_fast] is deliberately not offered —
     certification needs every cell's verdict.  A job that dies becomes
     an aborted cell (which counts as flagged/detection), never a lost
-    report. *)
+    report.
+    @raise Invalid_argument before running any leg when [x] is outside
+    [[0, d - eps]] of [model]. *)

@@ -68,20 +68,6 @@ let test_paper_verbatim_counterexample () =
 let test_paper_verbatim_register () =
   expect_counterexample Scenario.Builtin.ablation_register
 
-(* The scenario encoding and the hand-written harness describe the
-   same run: both verdicts agree, leg by leg. *)
-let test_scenario_matches_harness () =
-  let lin_paper, conv_paper =
-    A.counterexample_run
-      ~timing_of:(fun model ~x -> Core.Wtlw.paper_timing model ~x)
-      ~fast_mutator:(Q.Enqueue 55) ~slow_mutator:(Q.Enqueue 66) ~probe:Q.Peek
-  in
-  let o = Scenario.run Scenario.Builtin.ablation_counterexample in
-  Alcotest.(check bool) "linearizability verdicts agree" lin_paper
-    o.Scenario.Exec.linearizable;
-  Alcotest.(check (option bool)) "convergence verdicts agree"
-    (Some conv_paper) o.Scenario.Exec.converged
-
 let test_report_shape () =
   let report = A.report ~model ~x ~seeds:[ 1; 2 ] in
   Alcotest.(check int) "seven knobs" 7 (List.length report);
@@ -123,7 +109,5 @@ let () =
             test_paper_verbatim_counterexample;
           Alcotest.test_case "register counterexample" `Quick
             test_paper_verbatim_register;
-          Alcotest.test_case "scenario matches harness" `Quick
-            test_scenario_matches_harness;
         ] );
     ]

@@ -103,6 +103,42 @@ let test_untruncated_run_is_clean () =
   Alcotest.(check bool) "not truncated" false report.truncated;
   Alcotest.(check bool) "ok" true (R.ok report)
 
+(* Regression: with an X outside [0, d - eps] every raw leg would
+   abort, and an aborted leg counts as detection, so the matrix would
+   report itself certified.  The X is rejected before any leg runs. *)
+let test_matrix_rejects_bad_x () =
+  Alcotest.check_raises "X = 100 rejected"
+    (Invalid_argument "Sweep.robustness: X must lie in [0, d - eps]")
+    (fun () ->
+      ignore
+        (Sweep.robustness ~model ~x:(rat 100 1) ~seed
+           [ Option.get (Sweep.Packed_type.find "register") ]))
+
+(* Each leg is judged against its own model: an X in
+   (d - eps, d' - eps'] is out of range for the direct leg but valid
+   for the reliable leg, whose inflated model d' is larger. *)
+let test_leg_judged_against_own_model () =
+  let inflated =
+    Core.Reliable.inflated_model (Core.Reliable.default_config model) model
+  in
+  let x = Rat.add (Rat.sub model.d model.eps) Rat.one in
+  Alcotest.(check bool) "X valid only for the inflated model" true
+    ((not (Sim.Model.x_valid model x)) && Sim.Model.x_valid inflated x);
+  let cfg =
+    R.Config.make ~model
+      ~offsets:(Array.make 3 Rat.zero)
+      ~delay:(Sim.Net.random_model ~seed model)
+      ~algorithm:(R.Wtlw { x })
+      ~workload:(R.Closed_loop { per_proc = 3; think = Rat.make 1 2; seed })
+      ()
+  in
+  Alcotest.(check bool) "direct leg rejects X" true
+    (match R.run cfg with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let report = R.run (R.Config.reliable cfg) in
+  Alcotest.(check bool) "reliable leg runs ok" true (R.ok report)
+
 let () =
   Alcotest.run "robustness"
     [
@@ -117,6 +153,10 @@ let () =
             test_empty_matrix_not_certified;
           Alcotest.test_case "JSON enumerates every cell" `Quick
             test_json_enumerates_every_cell;
+          Alcotest.test_case "X outside [0, d - eps] rejected" `Quick
+            test_matrix_rejects_bad_x;
+          Alcotest.test_case "each leg judged against its own model" `Quick
+            test_leg_judged_against_own_model;
         ] );
       ( "truncation",
         [
