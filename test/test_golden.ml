@@ -7,8 +7,10 @@
    at the CLI's default model point, X and seed, the fingerprint of a
    small skewed sharded load, and the ablation harness's outcome lines
    for the queue and the register at the CLI's default model point, X
-   and seeds.  Any change to how a run is described, seeded or lowered
-   shows up here as a diff. *)
+   and seeds, and the per-type monitors' verdicts (method, fallback
+   reason, violation rule and culprits) on generated histories and
+   their corrupted copies.  Any change to how a run is described,
+   seeded, lowered or certified shows up here as a diff. *)
 
 let packed key =
   match Sweep.Packed_type.find key with
@@ -69,6 +71,54 @@ let test_ablation_queue () =
 let test_ablation_register () =
   check_golden "ablation_register.txt" (ablation_lines (module Spec.Register))
 
+let monitor_lines (module T : Spec.Data_type.S) =
+  let module M = Monitor.Make (T) in
+  let line ~seed ~n ~label ops =
+    let r = M.check ops in
+    let violation =
+      match r.M.violation with
+      | None -> "-"
+      | Some v ->
+          Printf.sprintf "%s [%s]" v.Monitor.Violation.rule
+            (String.concat " "
+               (List.map
+                  (fun (c : Monitor.Violation.culprit) -> string_of_int c.index)
+                  v.culprits))
+    in
+    Printf.sprintf
+      "%s seed=%d n=%d %s linearizable=%b method=%s fallback=%s violation=%s\n"
+      T.name seed n label r.M.linearizable
+      (Monitor.method_to_string r.M.method_)
+      (Option.value ~default:"-" r.M.fallback)
+      violation
+  in
+  String.concat ""
+    (List.concat_map
+       (fun n ->
+         List.concat_map
+           (fun seed ->
+             let clean = M.generate ~seed ~n () in
+             let bad, _ = M.corrupt clean in
+             [
+               line ~seed ~n ~label:"clean" clean;
+               line ~seed ~n ~label:"corrupt" bad;
+             ])
+           (List.init 8 (fun i -> i + 1)))
+       [ 100; 5000 ])
+
+(* Every monitored kind, seeds 1-8, n = 100 and 5000. *)
+let test_monitor_outcomes () =
+  check_golden "monitor_outcomes.txt"
+    (String.concat ""
+       (List.map monitor_lines
+          [
+            (module Spec.Register : Spec.Data_type.S);
+            (module Spec.Fifo_queue);
+            (module Spec.Stack_type);
+            (module Spec.Set_type);
+            (module Spec.Priority_queue);
+          ]))
+
 let () =
   Alcotest.run "golden"
     [
@@ -93,5 +143,10 @@ let () =
             test_ablation_queue;
           Alcotest.test_case "register outcomes, seeds 1-8" `Quick
             test_ablation_register;
+        ] );
+      ( "monitor",
+        [
+          Alcotest.test_case "five kinds, clean and corrupt, seeds 1-8"
+            `Quick test_monitor_outcomes;
         ] );
     ]
