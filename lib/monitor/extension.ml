@@ -21,40 +21,40 @@
    array visits every value O(1) amortized times. *)
 
 type relation = {
-  fkey : Rat.t option array;
-      (** [None]: the value exerts no constraint through this relation *)
-  skey : Rat.t option array;
-      (** [None]: the value is never blocked by this relation *)
+  fkey : Key.t;  (** undefined: the value exerts no constraint here *)
+  skey : Key.t;  (** undefined: the value is never blocked here *)
 }
 
 type rstate = {
   rel : relation;
-  sort_s : int array;  (** values with a skey, ascending *)
-  mutable sptr : int;
-  sort_f : int array;  (** values with an fkey, ascending *)
-  nxt : int array;  (** skip list over [sort_f] positions *)
+  mutable sptr : int;  (** position in [rel.skey.sorted] *)
+  nxt : int array;  (** skip list over [rel.fkey.sorted] positions *)
   bumped : bool array;  (** already reported unblocked to this relation *)
 }
 
-(* first alive position >= i in [sort_f], with path compression *)
+(* first alive position >= i in the fkey order, with path compression *)
 let rec find_alive st (alive : bool array) i =
-  if i >= Array.length st.sort_f then i
-  else if alive.(st.sort_f.(i)) then i
+  let sort_f = st.rel.fkey.sorted in
+  if i >= Array.length sort_f then i
+  else if alive.(sort_f.(i)) then i
   else begin
     let j = find_alive st alive st.nxt.(i) in
     st.nxt.(i) <- j;
     j
   end
 
-(* the minimum alive fkey, excluding value [w] itself *)
-let min_fkey_excluding st alive w =
-  let len = Array.length st.sort_f in
+(* no alive value other than [w] has an fkey below [w]'s skey: the
+   minimum alive fkey decides, except for its owner, which tests
+   against the second minimum *)
+let unblocked st alive w =
+  let sort_f = st.rel.fkey.sorted in
+  let len = Array.length sort_f in
   let i = find_alive st alive 0 in
-  if i >= len then None
-  else if st.sort_f.(i) <> w then st.rel.fkey.(st.sort_f.(i))
-  else
-    let j = find_alive st alive (i + 1) in
-    if j >= len then None else st.rel.fkey.(st.sort_f.(j))
+  let i =
+    if i < len && sort_f.(i) = w then find_alive st alive (i + 1) else i
+  in
+  i >= len
+  || not (Rat.lt st.rel.fkey.at.(sort_f.(i)) st.rel.skey.at.(w))
 
 (* a tiny binary min-heap over ints *)
 module Heap = struct
@@ -112,14 +112,6 @@ module Heap = struct
     end
 end
 
-let sorted_by m key =
-  let idx = Array.init m Fun.id in
-  let idx = Array.of_list (List.filter (fun i -> key.(i) <> None) (Array.to_list idx)) in
-  Array.sort
-    (fun a b -> Rat.compare (Option.get key.(a)) (Option.get key.(b)))
-    idx;
-  idx
-
 (* [solve ~m ~relations ~edges ~prefer] returns a linear extension of
    the union, or [None] if the constraints are cyclic (real violation)
    or the greedy cannot certify one.  [edges] carries forced pairs
@@ -127,8 +119,8 @@ let sorted_by m key =
    resolved Kahn-style.  [prefer] ranks available sources: lower
    (rank, key) first. *)
 let solve ~m ~(relations : relation list) ?(edges : (int * int) list = [])
-    (prefer : int -> int * Rat.t) : int list option =
-  if m = 0 then Some []
+    (prefer : int -> int * Rat.t) : int array option =
+  if m = 0 then Some [||]
   else begin
     let alive = Array.make m true in
     let nrel = List.length relations + if edges = [] then 0 else 1 in
@@ -146,13 +138,10 @@ let solve ~m ~(relations : relation list) ?(edges : (int * int) list = [])
     let states =
       List.map
         (fun rel ->
-          let sort_f = sorted_by m rel.fkey in
           {
             rel;
-            sort_s = sorted_by m rel.skey;
             sptr = 0;
-            sort_f;
-            nxt = Array.init (Array.length sort_f) (fun i -> i + 1);
+            nxt = Array.init (Array.length rel.fkey.sorted) (fun i -> i + 1);
             bumped = Array.make m false;
           })
         relations
@@ -173,27 +162,23 @@ let solve ~m ~(relations : relation list) ?(edges : (int * int) list = [])
     List.iter
       (fun st ->
         for v = 0 to m - 1 do
-          if st.rel.skey.(v) = None then begin
+          if not st.rel.skey.defined.(v) then begin
             st.bumped.(v) <- true;
             bump v
           end
         done)
       states;
-    let unblocked st w =
-      match min_fkey_excluding st alive w with
-      | None -> true
-      | Some f -> not (Rat.lt f (Option.get st.rel.skey.(w)))
-    in
     let advance st =
       (* the skey pointer: for a non-owner the blocking test compares
          the global min alive fkey against its skey, so unblocking is
          monotone in skey and a single pointer suffices *)
-      let len = Array.length st.sort_s in
+      let sort_s = st.rel.skey.sorted in
+      let len = Array.length sort_s in
       let walking = ref true in
       while !walking && st.sptr < len do
-        let w = st.sort_s.(st.sptr) in
+        let w = sort_s.(st.sptr) in
         if (not alive.(w)) || st.bumped.(w) then st.sptr <- st.sptr + 1
-        else if unblocked st w then begin
+        else if unblocked st alive w then begin
           st.bumped.(w) <- true;
           bump w;
           st.sptr <- st.sptr + 1
@@ -204,16 +189,16 @@ let solve ~m ~(relations : relation list) ?(edges : (int * int) list = [])
          against the {e second} minimum (its own fkey is excluded), so
          it can unblock ahead of its skey turn *)
       let i = find_alive st alive 0 in
-      if i < Array.length st.sort_f then begin
-        let o = st.sort_f.(i) in
-        if (not st.bumped.(o)) && unblocked st o then begin
+      if i < Array.length st.rel.fkey.sorted then begin
+        let o = st.rel.fkey.sorted.(i) in
+        if (not st.bumped.(o)) && unblocked st alive o then begin
           st.bumped.(o) <- true;
           bump o
         end
       end
     in
     List.iter advance states;
-    let order = ref [] in
+    let order = Array.make m 0 in
     let emitted = ref 0 in
     let stuck = ref false in
     while !emitted < m && not !stuck do
@@ -221,7 +206,7 @@ let solve ~m ~(relations : relation list) ?(edges : (int * int) list = [])
       | None -> stuck := true
       | Some v ->
           alive.(v) <- false;
-          order := v :: !order;
+          order.(!emitted) <- v;
           incr emitted;
           List.iter
             (fun w ->
@@ -230,5 +215,5 @@ let solve ~m ~(relations : relation list) ?(edges : (int * int) list = [])
             succ.(v);
           List.iter advance states
     done;
-    if !stuck then None else Some (List.rev !order)
+    if !stuck then None else Some order
   end

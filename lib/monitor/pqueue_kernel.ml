@@ -19,6 +19,7 @@ let check (records : Record.t array) : Record.outcome =
   match Record.classify ~kind records with
   | Error o -> o
   | Ok classes -> (
+      let puts = Record.puts classes in
       match
         Sweeps.forced_above ~kind ~rule:"pqueue.priority-order"
           ~describe:(fun c v ->
@@ -26,16 +27,18 @@ let check (records : Record.t array) : Record.outcome =
               "value %d observed as the maximum but larger value %d is \
                forced present"
               c.Record.value v.Record.value)
-          ~key:(fun v -> Rat.of_int v.Record.value)
+          ~key:
+            (Key.make
+               (Array.map (fun c -> Rat.of_int c.Record.value) puts.vals))
           ~threshold:(fun c _o -> Rat.of_int c.Record.value)
-          classes
+          puts
       with
       | Some o -> o
       | None -> (
-          match Record.empty_uncoverable ~kind classes with
+          match Record.empty_uncoverable ~kind classes puts with
           | Some o -> o
           | None -> (
-              match Sweeps.value_order ~style:Sweeps.Prio_order classes with
+              match Sweeps.value_order ~style:Sweeps.Prio_order puts with
               | None ->
                   Record.Unknown
                     "no insertion order satisfies the forced precedences"

@@ -15,13 +15,14 @@ let check (records : Record.t array) : Record.outcome =
   match Record.classify ~kind records with
   | Error o -> o
   | Ok classes -> (
-      match Sweeps.queue_fifo ~kind classes with
+      let puts = Record.puts classes in
+      match Sweeps.queue_fifo ~kind puts with
       | Some o -> o
       | None -> (
-          match Record.empty_uncoverable ~kind classes with
+          match Record.empty_uncoverable ~kind classes puts with
           | Some o -> o
           | None -> (
-              match Sweeps.value_order ~style:Sweeps.Fifo_order classes with
+              match Sweeps.value_order ~style:Sweeps.Fifo_order puts with
               | None ->
                   Record.Unknown
                     "no insertion order satisfies the forced precedences"

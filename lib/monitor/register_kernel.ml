@@ -143,16 +143,12 @@ let check (records : Record.t array) : Record.outcome =
           let fkey =
             Array.map
               (fun ops ->
-                Some
-                  (Rat.min_list
-                     (List.map (fun (r : Record.t) -> r.finish) ops)))
+                Rat.min_list (List.map (fun (r : Record.t) -> r.finish) ops))
               blocks
           and skey =
             Array.map
               (fun ops ->
-                Some
-                  (Rat.max_list
-                     (List.map (fun (r : Record.t) -> r.start) ops)))
+                Rat.max_list (List.map (fun (r : Record.t) -> r.start) ops))
               blocks
           in
           let init = if Hashtbl.mem writes 0 then [] else reads_of 0 in
@@ -163,9 +159,7 @@ let check (records : Record.t array) : Record.outcome =
                 let s =
                   Rat.max_list (List.map (fun (r : Record.t) -> r.start) init)
                 in
-                Array.for_all
-                  (function Some f -> not (Rat.lt f s) | None -> true)
-                  fkey
+                Array.for_all (fun f -> not (Rat.lt f s)) fkey
           in
           if not init_ok then
             Record.Unknown
@@ -173,8 +167,9 @@ let check (records : Record.t array) : Record.outcome =
           else
             match
               Extension.solve ~m:(Array.length blocks)
-                ~relations:[ { Extension.fkey; skey } ]
-                (fun i -> (0, Option.get fkey.(i)))
+                ~relations:
+                  [ { Extension.fkey = Key.make fkey; skey = Key.make skey } ]
+                (fun i -> (0, fkey.(i)))
             with
             | None ->
                 Record.Unknown
@@ -183,5 +178,5 @@ let check (records : Record.t array) : Record.outcome =
                 let order = ref [] in
                 let emit (r : Record.t) = order := r.id :: !order in
                 List.iter emit init;
-                List.iter (fun i -> List.iter emit blocks.(i)) idx;
+                Array.iter (fun i -> List.iter emit blocks.(i)) idx;
                 Order (List.rev !order)))

@@ -24,63 +24,77 @@
 
 type item = {
   cls : Record.value_class;
+  put : Record.t;
   mutable peeks : Record.t list;  (** remaining, sorted by response *)
 }
 
 module Imap = Map.Make (Int)
 
-type container =
-  | Fifo of item list * item list  (* front (never empty alone), back *)
-  | Lifo of item list
-  | Prio of item Imap.t
-
 type shape = Queue_shape | Stack_shape | Priority_shape
 
-let create = function
-  | Queue_shape -> Fifo ([], [])
-  | Stack_shape -> Lifo []
-  | Priority_shape -> Prio Imap.empty
+(* The abstract container, over item positions in the insertion order:
+   a queue holds the positions [first, inserted) (items are inserted in
+   position order), a stack a stack of positions, and a priority queue
+   its positions keyed by value. *)
+type container =
+  | Fifo of { mutable first : int }
+  | Lifo of { slots : int array; mutable size : int }
+  | Prio of { mutable by_value : int Imap.t }
 
-let norm = function Fifo ([], back) -> Fifo (List.rev back, []) | c -> c
+let create shape n =
+  match shape with
+  | Queue_shape -> Fifo { first = 0 }
+  | Stack_shape -> Lifo { slots = Array.make n 0; size = 0 }
+  | Priority_shape -> Prio { by_value = Imap.empty }
 
-let insert c it =
-  norm
-    (match c with
-    | Fifo (front, back) -> Fifo (front, it :: back)
-    | Lifo items -> Lifo (it :: items)
-    | Prio m -> Prio (Imap.add it.cls.Record.value it m))
+(* [insert c items i]: item [i] is the next in insertion order *)
+let insert c (items : item array) i =
+  match c with
+  | Fifo _ -> ()
+  | Lifo s ->
+      s.slots.(s.size) <- i;
+      s.size <- s.size + 1
+  | Prio p -> p.by_value <- Imap.add items.(i).cls.Record.value i p.by_value
 
-let head = function
-  | Fifo (h :: _, _) | Lifo (h :: _) -> Some h
-  | Prio m -> Option.map snd (Imap.max_binding_opt m)
-  | Fifo ([], _) | Lifo [] -> None
+(* the position at the access point, or -1 when empty; [inserted] items
+   have gone in so far *)
+let head c ~inserted =
+  match c with
+  | Fifo q -> if q.first < inserted then q.first else -1
+  | Lifo s -> if s.size > 0 then s.slots.(s.size - 1) else -1
+  | Prio p -> (
+      match Imap.max_binding_opt p.by_value with Some (_, i) -> i | None -> -1)
 
 let remove_head c =
-  norm
-    (match c with
-    | Fifo (_ :: front, back) -> Fifo (front, back)
-    | Lifo (_ :: items) -> Lifo items
-    | Prio m -> Prio (Imap.remove (fst (Imap.max_binding m)) m)
-    | Fifo ([], _) | Lifo [] -> assert false)
+  match c with
+  | Fifo q -> q.first <- q.first + 1
+  | Lifo s -> s.size <- s.size - 1
+  | Prio p ->
+      p.by_value <- Imap.remove (fst (Imap.max_binding p.by_value)) p.by_value
 
 let by_finish (a : Record.t) (b : Record.t) = Rat.compare a.finish b.finish
 
-type action = Insert | Peek of Record.t | Take of Record.t | Empty
+(* What the scheduler emits next. *)
+type action = Insert | Peek | Take | Empty | Stuck
 
 (* [run ~shape ~order ~empties]: [order] is the insertion sequence over
    value classes (every class has a put — the cheap patterns rejected
    fresh observations already). *)
-let run ~shape ~(order : Record.value_class list)
+let run ~shape ~(order : Record.value_class array)
     ~(empties : Record.t list) : Record.outcome =
   let items =
-    Array.of_list
-      (List.map
-         (fun c -> { cls = c; peeks = List.sort by_finish c.Record.peeks })
-         order)
+    Array.map
+      (fun c ->
+        {
+          cls = c;
+          put = Option.get c.Record.put;
+          peeks = List.sort by_finish c.Record.peeks;
+        })
+      order
   in
-  let put it = Option.get it.cls.Record.put in
+  let n_items = Array.length items in
   let deadline it =
-    let d = (put it).Record.finish in
+    let d = it.put.Record.finish in
     let d =
       match it.cls.Record.take with
       | Some (t : Record.t) -> Rat.min d t.finish
@@ -88,18 +102,18 @@ let run ~shape ~(order : Record.value_class list)
     in
     List.fold_left (fun acc (p : Record.t) -> Rat.min acc p.finish) d it.peeks
   in
-  let deadlines = Array.map deadline items in
   (* earliest deadline among the insertions from [i] on: a later value
      being forced pulls every insertion ordered before it along *)
-  let n_items = Array.length items in
-  let sufmin = Array.make (n_items + 1) None in
-  for i = n_items - 1 downto 0 do
-    sufmin.(i) <-
-      (match sufmin.(i + 1) with
-      | Some d -> Some (Rat.min d deadlines.(i))
-      | None -> Some deadlines.(i))
+  let sufmin = Array.map deadline items in
+  for i = n_items - 2 downto 0 do
+    sufmin.(i) <- Rat.min sufmin.(i + 1) sufmin.(i)
   done;
-  let empties = Array.of_list (List.sort by_finish empties) in
+  let empties =
+    let a = Array.of_list empties in
+    let idx = Array.init (Array.length a) Fun.id in
+    Key.sort (Array.map (fun (e : Record.t) -> e.finish) a) idx;
+    Array.map (fun i -> a.(i)) idx
+  in
   let total =
     Array.fold_left
       (fun acc it ->
@@ -112,78 +126,73 @@ let run ~shape ~(order : Record.value_class list)
   let acc = ref [] in
   let emitted = ref 0 in
   let next_ins = ref 0 and next_emp = ref 0 in
-  let cont = ref (create shape) in
+  let cont = create shape n_items in
   let stuck = ref false in
-  (* the head's pending operation, if any: first peek, else the take *)
-  let head_op h =
-    match h.peeks with
-    | (p : Record.t) :: _ -> Some (Peek p, p)
-    | [] -> (
-        match h.cls.Record.take with
-        | Some (t : Record.t) -> Some (Take t, t)
-        | None -> None)
+  (* the operation a [pending] action of head [h] emits *)
+  let op pending h =
+    match pending with
+    | Peek -> List.hd items.(h).peeks
+    | Take -> Option.get items.(h).cls.Record.take
+    | _ -> empties.(!next_emp)
   in
   while !emitted < total && not !stuck do
-    (* Lazy insertion: keep servicing the access point and only grow
-       the container when real time forces it — some operation of the
+    (* The access point's pending operation: the head's first peek,
+       else its take; an empty observation when the container is
+       empty.  Lazy insertion: keep servicing it and only grow the
+       container when real time forces it — some operation of the
        next value (its put, or an op waiting on its presence) finishes
-       before the head's current operation starts.  Every operation
-       emitted while the insertion stays deferred is then conflict-free
-       against all of the deferred value's operations: its deadline
-       (the minimum of those finishes) was >= the emitted op's start. *)
-    let head_cand =
-      match head !cont with
-      | Some h -> Option.map (fun (a, (o : Record.t)) -> (o, a)) (head_op h)
-      | None ->
-          if !next_emp < Array.length empties then
-            Some (empties.(!next_emp), Empty)
-          else None
+       before the pending operation starts.  Every operation emitted
+       while the insertion stays deferred is then conflict-free against
+       all of the deferred value's operations: its deadline (the
+       minimum of those finishes) was >= the emitted op's start. *)
+    let h = head cont ~inserted:!next_ins in
+    let pending =
+      if h >= 0 then
+        match (items.(h).peeks, items.(h).cls.Record.take) with
+        | _ :: _, _ -> Peek
+        | [], Some _ -> Take
+        | [], None -> Stuck
+      else if !next_emp < Array.length empties then Empty
+      else Stuck
     in
-    let insert_ready = !next_ins < Array.length items in
-    let chosen =
-      match head_cand with
-      | Some ((o : Record.t), a) ->
-          let forced =
-            insert_ready
-            &&
-            match sufmin.(!next_ins) with
-            | Some d -> Rat.lt d o.start
-            | None -> false
-          in
-          if forced then Some Insert else Some a
-      | None -> if insert_ready then Some Insert else None
+    let action =
+      match pending with
+      | _ when !next_ins >= n_items -> pending
+      | Stuck -> Insert
+      | _ ->
+          if Rat.lt sufmin.(!next_ins) (op pending h).start then Insert
+          else pending
     in
-    match chosen with
-    | None -> stuck := true
-    | Some action ->
-        (match action with
-        | Insert ->
-            let it = items.(!next_ins) in
-            incr next_ins;
-            acc := (put it).Record.id :: !acc;
-            cont := insert !cont it
-        | Peek p ->
-            let h = Option.get (head !cont) in
-            h.peeks <- List.tl h.peeks;
-            acc := p.Record.id :: !acc
-        | Take t ->
-            cont := remove_head !cont;
-            acc := t.Record.id :: !acc
-        | Empty ->
-            acc := empties.(!next_emp).Record.id :: !acc;
-            incr next_emp);
+    match action with
+    | Stuck -> stuck := true
+    | Insert ->
+        let i = !next_ins in
+        incr next_ins;
+        acc := items.(i).put.Record.id :: !acc;
+        insert cont items i;
+        incr emitted
+    | Peek ->
+        acc := (op pending h).Record.id :: !acc;
+        items.(h).peeks <- List.tl items.(h).peeks;
+        incr emitted
+    | Take ->
+        acc := (op pending h).Record.id :: !acc;
+        remove_head cont;
+        incr emitted
+    | Empty ->
+        acc := (op pending h).Record.id :: !acc;
+        incr next_emp;
         incr emitted
   done;
   if !stuck then
+    let h = head cont ~inserted:!next_ins in
     Record.Unknown
       (Printf.sprintf
          "greedy scheduler stuck after %d/%d operations (head %s, next \
           insertion %s)"
          !emitted total
-         (match head !cont with
-         | Some h -> string_of_int h.cls.Record.value
-         | None -> "-")
-         (if !next_ins < Array.length items then
+         (if h >= 0 then string_of_int items.(h).cls.Record.value else "-")
+         (if !next_ins < n_items then
             string_of_int items.(!next_ins).cls.Record.value
           else "-"))
   else Record.Order (List.rev !acc)

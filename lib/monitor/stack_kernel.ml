@@ -17,23 +17,23 @@ let check (records : Record.t array) : Record.outcome =
   match Record.classify ~kind records with
   | Error o -> o
   | Ok classes -> (
-      let put c = Option.get c.Record.put in
+      let puts = Record.puts classes in
       match
         Sweeps.forced_above ~kind ~rule:"stack.lifo-order"
           ~describe:(fun c v ->
             Printf.sprintf
               "value %d observed at the top but value %d is forced above it"
               c.Record.value v.Record.value)
-          ~key:(fun v -> (put v).Record.start)
-          ~threshold:(fun c _o -> (put c).Record.finish)
-          classes
+          ~key:puts.by_start
+          ~threshold:(fun c _o -> (Option.get c.Record.put).finish)
+          puts
       with
       | Some o -> o
       | None -> (
-          match Record.empty_uncoverable ~kind classes with
+          match Record.empty_uncoverable ~kind classes puts with
           | Some o -> o
           | None -> (
-              match Sweeps.value_order ~style:Sweeps.Push_order classes with
+              match Sweeps.value_order ~style:Sweeps.Push_order puts with
               | None ->
                   Record.Unknown
                     "no insertion order satisfies the forced precedences"

@@ -32,84 +32,73 @@ let better a b =
 
 (* --- queue: FIFO order -------------------------------------------- *)
 
+(* The observation of [c] that finishes first, among its take and then
+   its peeks (the earliest such on ties). *)
+let earliest_observation (c : Record.value_class) =
+  let best = ref c.take in
+  List.iter
+    (fun (o : Record.t) ->
+      match !best with
+      | Some (b : Record.t) when not (Rat.lt o.finish b.finish) -> ()
+      | _ -> best := Some o)
+    c.peeks;
+  !best
+
 (* Values with head evidence (a take or peek returning them), iterated
    by start of their put; candidates absorbed once their put's finish
    drops below that start.  One running "first untaken" plus a running
    max of take starts decides both branches of the pattern. *)
-let queue_fifo ~kind (classes : Record.classes) : Record.outcome option =
-  let with_put = List.filter (fun c -> c.Record.put <> None) classes.values in
-  let put c = Option.get c.Record.put in
-  let evidence c =
-    let ops =
-      (match c.Record.take with Some t -> [ t ] | None -> []) @ c.Record.peeks
-    in
-    match ops with
-    | [] -> None
-    | o :: rest ->
-        Some
-          (List.fold_left
-             (fun (best : Record.t) (o : Record.t) ->
-               if Rat.lt o.finish best.finish then o else best)
-             o rest)
-  in
-  let observed =
-    List.filter_map
-      (fun c -> Option.map (fun o -> (c, o)) (evidence c))
-      with_put
-  in
-  let observed =
-    List.sort
-      (fun (a, _) (b, _) -> Rat.compare (put a).Record.start (put b).Record.start)
-      observed
-  in
-  let candidates =
-    Array.of_list
-      (List.sort
-         (fun a b -> Rat.compare (put a).Record.finish (put b).Record.finish)
-         with_put)
-  in
-  let nc = Array.length candidates in
+let queue_fifo ~kind (puts : Record.puts) : Record.outcome option =
+  let vals = puts.vals and put = puts.put in
+  let observed = puts.by_start.sorted and candidates = puts.by_finish.sorted in
+  let nc = Array.length candidates and no = Array.length observed in
   let i = ref 0 in
-  let untaken = ref None in
-  let latest = ref None in
-  (* max take start among absorbed taken candidates *)
-  List.find_map
-    (fun (c, (o : Record.t)) ->
-      let s_put = (put c).Record.start in
-      while !i < nc && Rat.lt (put candidates.(!i)).Record.finish s_put do
-        let u = candidates.(!i) in
-        (match u.Record.take with
-        | None -> if !untaken = None then untaken := Some u
-        | Some t ->
-            let beats =
-              match !latest with
-              | Some (s, _) -> Rat.lt s t.Record.start
-              | None -> true
-            in
-            if beats then latest := Some (t.Record.start, u));
-        incr i
-      done;
-      match !untaken with
-      | Some u ->
-          Some
-            (Record.violation ~kind ~rule:"queue.fifo-order"
-               [ o; put c; put u ]
-               (Printf.sprintf
-                  "value %d observed at the head but value %d is forced \
-                   ahead of it and never taken"
-                  c.Record.value u.Record.value))
-      | None -> (
-          match !latest with
-          | Some (s, u) when Rat.lt o.finish s ->
-              Some
-                (Record.violation ~kind ~rule:"queue.fifo-order"
-                   [ o; put c; put u; Option.get u.Record.take ]
-                   (Printf.sprintf
-                      "value %d observed at the head before value %d, forced \
-                       ahead of it, could be taken"
-                      c.Record.value u.Record.value))
-          | _ -> None))
-    observed
+  let untaken = ref (-1) in
+  (* max take start among absorbed taken candidates, and its value *)
+  let latest = ref (-1) and latest_start = ref Rat.zero in
+  let result = ref None in
+  let k = ref 0 in
+  while Option.is_none !result && !k < no do
+    let w = observed.(!k) in
+    incr k;
+    match earliest_observation vals.(w) with
+    | None -> ()
+    | Some o -> (
+        let c = vals.(w) in
+        let s_put = put.(w).start in
+        while !i < nc && Rat.lt put.(candidates.(!i)).finish s_put do
+          let u = candidates.(!i) in
+          (match vals.(u).take with
+          | None -> if !untaken < 0 then untaken := u
+          | Some t ->
+              if !latest < 0 || Rat.lt !latest_start t.start then begin
+                latest := u;
+                latest_start := t.start
+              end);
+          incr i
+        done;
+        if !untaken >= 0 then
+          let u = !untaken in
+          result :=
+            Some
+              (Record.violation ~kind ~rule:"queue.fifo-order"
+                 [ o; put.(w); put.(u) ]
+                 (Printf.sprintf
+                    "value %d observed at the head but value %d is forced \
+                     ahead of it and never taken"
+                    c.value vals.(u).value))
+        else if !latest >= 0 && Rat.lt o.finish !latest_start then
+          let u = !latest in
+          result :=
+            Some
+              (Record.violation ~kind ~rule:"queue.fifo-order"
+                 [ o; put.(w); put.(u); Option.get vals.(u).take ]
+                 (Printf.sprintf
+                    "value %d observed at the head before value %d, forced \
+                     ahead of it, could be taken"
+                    c.value vals.(u).value)))
+  done;
+  !result
 
 (* --- stack / priority queue: forced-above ------------------------- *)
 
@@ -143,41 +132,44 @@ module Fenwick = struct
     !acc
 end
 
-(* [forced_above ~kind ~rule ~key ~threshold classes]: for each take or
+(* [forced_above ~kind ~rule ~key ~threshold puts]: for each take or
    peek observation [o] returning value [x], a violation exists iff
    some candidate [v] with [finish (put v) < start o] and
    [key v > threshold x o] is forced present at [o]'s linearization
-   point (never taken, or its take starts after [o] finishes). *)
-let forced_above ~kind ~rule ~describe ~key ~threshold
-    (classes : Record.classes) : Record.outcome option =
-  let with_put = List.filter (fun c -> c.Record.put <> None) classes.values in
-  let put c = Option.get c.Record.put in
+   point (never taken, or its take starts after [o] finishes).  [key]
+   is indexed like [puts.vals]. *)
+let forced_above ~kind ~rule ~describe ~(key : Key.t) ~threshold
+    (puts : Record.puts) : Record.outcome option =
+  let vals = puts.vals and put = puts.put in
+  (* every observation, with its value, by start (ties: value order,
+     then the take before the peeks) *)
   let evidence =
-    List.concat_map
-      (fun c ->
-        let ops =
-          (match c.Record.take with Some t -> [ t ] | None -> [])
-          @ c.Record.peeks
-        in
-        List.map (fun o -> (c, o)) ops)
-      with_put
+    Array.of_list
+      (List.concat
+         (List.mapi
+            (fun i (c : Record.value_class) ->
+              List.map (fun o -> (i, o)) (Option.to_list c.take @ c.peeks))
+            (Array.to_list vals)))
   in
-  let evidence =
-    List.sort
-      (fun ((_, a) : _ * Record.t) ((_, b) : _ * Record.t) ->
-        Rat.compare a.start b.start)
-      evidence
-  in
-  (* dense ranks for candidate keys *)
-  let keys = List.map key with_put in
-  let sorted_keys = List.sort_uniq Rat.compare keys in
-  let rank_of =
-    let tbl = Hashtbl.create 97 in
-    List.iteri (fun i k -> Hashtbl.add tbl (Rat.to_string k) (i + 1)) sorted_keys;
-    fun k -> Hashtbl.find tbl (Rat.to_string k)
-  in
-  let rank_arr = Array.of_list sorted_keys in
-  let m = Array.length rank_arr in
+  let ev_order = Array.init (Array.length evidence) Fun.id in
+  Key.sort
+    (Array.map (fun (_, (o : Record.t)) -> o.start) evidence)
+    ev_order;
+  (* dense ranks of the candidate keys, 1-based: equal keys share a
+     rank, and [rank_arr.(r - 1)] is the key of rank [r] *)
+  let rank = Array.make (Array.length vals) 0 in
+  let rank_arr = Array.make (Array.length key.sorted) Rat.zero in
+  let distinct = ref 0 in
+  Array.iter
+    (fun i ->
+      let k = key.at.(i) in
+      if !distinct = 0 || not (Rat.equal rank_arr.(!distinct - 1) k) then begin
+        rank_arr.(!distinct) <- k;
+        incr distinct
+      end;
+      rank.(i) <- !distinct)
+    key.sorted;
+  let m = !distinct in
   (* least rank with key strictly above the threshold *)
   let rank_above t =
     let lo = ref 0 and hi = ref m in
@@ -188,24 +180,21 @@ let forced_above ~kind ~rule ~describe ~key ~threshold
     !lo + 1
   in
   let fen = Fenwick.make m in
-  let candidates =
-    Array.of_list
-      (List.sort
-         (fun a b -> Rat.compare (put a).Record.finish (put b).Record.finish)
-         with_put)
-  in
+  let candidates = puts.by_finish.sorted in
   let nc = Array.length candidates in
   let i = ref 0 in
-  List.find_map
-    (fun (c, (o : Record.t)) ->
-      while !i < nc && Rat.lt (put candidates.(!i)).Record.finish o.start do
+  Array.find_map
+    (fun e ->
+      let w, (o : Record.t) = evidence.(e) in
+      let c = vals.(w) in
+      while !i < nc && Rat.lt put.(candidates.(!i)).finish o.start do
         let v = candidates.(!i) in
         let a =
-          match v.Record.take with
-          | None -> Never v
-          | Some t -> Until (t.Record.start, v)
+          match vals.(v).take with
+          | None -> Never vals.(v)
+          | Some t -> Until (t.start, vals.(v))
         in
-        Fenwick.update fen (rank_of (key v)) a;
+        Fenwick.update fen rank.(v) a;
         incr i
       done;
       let r = rank_above (threshold c o) in
@@ -215,37 +204,17 @@ let forced_above ~kind ~rule ~describe ~key ~threshold
         | Some (Never v) when v != c ->
             Some
               (Record.violation ~kind ~rule
-                 [ o; put c; put v ]
+                 [ o; put.(w); Option.get v.put ]
                  (describe c v ^ " and never taken"))
         | Some (Until (s, v)) when v != c && Rat.lt o.finish s ->
             Some
               (Record.violation ~kind ~rule
-                 [ o; put c; put v; Option.get v.Record.take ]
+                 [ o; put.(w); Option.get v.put; Option.get v.take ]
                  (describe c v ^ " until after the observation"))
         | _ -> None)
-    evidence
+    ev_order
 
 (* --- value insertion order ---------------------------------------- *)
-
-(* The phase of a value: its take plus its peeks — the operations that
-   observe it at the container's access point. *)
-let phase_keys (c : Record.value_class) =
-  let ops =
-    (match c.Record.take with Some t -> [ t ] | None -> []) @ c.Record.peeks
-  in
-  match ops with
-  | [] -> (None, None)
-  | (o : Record.t) :: rest ->
-      let fmin =
-        List.fold_left
-          (fun a (r : Record.t) -> Rat.min a r.finish)
-          o.finish rest
-      and smax =
-        List.fold_left
-          (fun a (r : Record.t) -> Rat.max a r.start)
-          o.start rest
-      in
-      (Some fmin, Some smax)
 
 type order_style =
   | Fifo_order
@@ -267,24 +236,35 @@ type order_style =
    - u's whole phase entirely before put(v): u was inserted, observed
      and removed before v existed;
    - (FIFO only) u's phase entirely before v's phase: the head reigns
-     happen in insertion order. *)
-let value_order ~style (classes : Record.classes) :
-    Record.value_class list option =
-  let vals =
-    Array.of_list
-      (List.filter (fun c -> c.Record.put <> None) classes.values)
-  in
+     happen in insertion order.
+   The phase of a value is its take plus its peeks — the operations
+   that observe it at the container's access point.  Each of the four
+   keys (put finish and start, phase earliest finish and latest start)
+   is sorted once and shared by the relations that use it. *)
+let value_order ~style (puts : Record.puts) : Record.value_class array option =
+  let vals = puts.vals in
   let m = Array.length vals in
-  let put i = Option.get vals.(i).Record.put in
-  let fe = Array.init m (fun i -> Some (put i).Record.finish) in
-  let se = Array.init m (fun i -> Some (put i).Record.start) in
-  let fp = Array.make m None and sp = Array.make m None in
+  let fe = puts.by_finish and se = puts.by_start in
+  let observed = Array.make m false in
+  let phase_finish = Array.make m Rat.zero
+  and phase_start = Array.make m Rat.zero in
   Array.iteri
-    (fun i c ->
-      let f, s = phase_keys c in
-      fp.(i) <- f;
-      sp.(i) <- s)
+    (fun i (c : Record.value_class) ->
+      let see (o : Record.t) =
+        if observed.(i) then begin
+          phase_finish.(i) <- Rat.min phase_finish.(i) o.finish;
+          phase_start.(i) <- Rat.max phase_start.(i) o.start
+        end
+        else begin
+          observed.(i) <- true;
+          phase_finish.(i) <- o.finish;
+          phase_start.(i) <- o.start
+        end
+      in
+      Option.iter see c.take;
+      List.iter see c.peeks)
     vals;
+  let fp = Key.make ~defined:observed phase_finish in
   let put_order = { Extension.fkey = fe; skey = se } in
   let gone_before_put = { Extension.fkey = fp; skey = se } in
   (* LIFO residency edges: an observation of [w] forced to happen while
@@ -295,72 +275,63 @@ let value_order ~style (classes : Record.classes) :
      skipped, so only values with overlapping puts are scanned — the
      candidate range is bounded by the history's concurrency width. *)
   let residency_edges () =
-    let by_fe =
-      let a = Array.init m Fun.id in
-      Array.sort
-        (fun i j -> Rat.compare (Option.get fe.(i)) (Option.get fe.(j)))
-        a;
-      a
-    in
+    let by_fe = fe.sorted in
     (* first position in [by_fe] with fe >= x *)
     let lower x =
       let lo = ref 0 and hi = ref m in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        if Rat.lt (Option.get fe.(by_fe.(mid))) x then lo := mid + 1
-        else hi := mid
+        if Rat.lt fe.at.(by_fe.(mid)) x then lo := mid + 1 else hi := mid
       done;
       !lo
     in
     let edges = ref [] in
     for w = 0 to m - 1 do
-      let obs =
-        (match vals.(w).Record.take with Some t -> [ t ] | None -> [])
-        @ vals.(w).Record.peeks
-      in
       List.iter
         (fun (o : Record.t) ->
-          let lo = lower (Option.get se.(w)) and hi = lower o.start in
+          let lo = lower se.at.(w) and hi = lower o.start in
           for k = lo to hi - 1 do
             let u = by_fe.(k) in
             if
               u <> w
-              && Rat.lt (Option.get fe.(u)) o.start
+              && Rat.lt fe.at.(u) o.start
               &&
-              match vals.(u).Record.take with
+              match vals.(u).take with
               | None -> true
               | Some (t : Record.t) -> Rat.lt o.finish t.start
             then edges := (u, w) :: !edges
           done)
-        obs
+        (Option.to_list vals.(w).take @ vals.(w).peeks)
     done;
     !edges
   in
   let relations, prefer =
     match style with
     | Fifo_order ->
-        let phase_order = { Extension.fkey = fp; skey = sp } in
+        let phase_order =
+          {
+            Extension.fkey = fp;
+            skey = Key.make ~defined:observed phase_start;
+          }
+        in
         ( [ put_order; phase_order; gone_before_put ],
           fun i ->
-            match (vals.(i).Record.take, fp.(i)) with
-            | Some (t : Record.t), _ ->
-                (0, t.finish)  (* takes run in insertion order *)
-            | None, Some f -> (1, f)  (* peeked but never taken: near the end *)
-            | None, None -> (2, (put i).Record.finish) (* never observed: last *)
-        )
+            match vals.(i).take with
+            | Some (t : Record.t) ->
+                (0, t.finish) (* takes run in insertion order *)
+            | None when observed.(i) ->
+                (1, phase_finish.(i)) (* peeked but never taken: near the end *)
+            | None -> (2, fe.at.(i)) (* never observed: last *) )
     | Push_order ->
         (* the residency edges pin every observably-forced depth
            relation; among the rest, put-finish order is the best guess
            at the real push order *)
-        ( [ put_order; gone_before_put ],
-          fun i -> (0, (put i).Record.finish) )
-    | Prio_order ->
-        ( [ put_order; gone_before_put ],
-          fun i -> (0, (put i).Record.finish) )
+        ([ put_order; gone_before_put ], fun i -> (0, fe.at.(i)))
+    | Prio_order -> ([ put_order; gone_before_put ], fun i -> (0, fe.at.(i)))
   in
   let edges =
     match style with Push_order -> residency_edges () | _ -> []
   in
-  match Extension.solve ~m ~relations ~edges prefer with
-  | None -> None
-  | Some idx -> Some (List.map (fun i -> vals.(i)) idx)
+  Option.map
+    (Array.map (fun i -> vals.(i)))
+    (Extension.solve ~m ~relations ~edges prefer)

@@ -122,6 +122,15 @@ let scenario_events ~ops () =
     failwith "scenario bench section: run did not certify";
   o.Scenario.Exec.events
 
+(* The monitor kernels alone, with no simulation: a generated
+   [n]-op FIFO-queue history (seed 7) certified by the queue monitor,
+   certificate replay and real-time sweep included. *)
+let monitor_queue ~n () =
+  let module M = Monitor.Make (Spec.Fifo_queue) in
+  if not (M.check (M.generate ~seed:7 ~n ())).linearizable then
+    failwith "monitor bench section: generated history not certified";
+  n
+
 let sections =
   [
     {
@@ -155,6 +164,13 @@ let sections =
         "1000-op generated-workload scenario lowered, run, certified and \
          judged against its temporal predicate";
       run = scenario_events ~ops:1_000;
+    };
+    {
+      name = "monitor-queue-100k";
+      description =
+        "100k-op generated FIFO-queue history certified by the queue \
+         monitor";
+      run = monitor_queue ~n:100_000;
     };
   ]
 

@@ -22,7 +22,11 @@ val sections : section list
     FIFO-queue shards, certified per key, run inline on one domain.
     ["scenario-1k"]: a pinned 1000-operation generated-workload
     scenario lowered through the scenario executor, certified and
-    judged against its temporal predicate. *)
+    judged against its temporal predicate.  ["monitor-queue-100k"]: a
+    generated 100k-operation FIFO-queue history (seed 7) certified by
+    the queue monitor — generation, kernels, certificate replay and
+    real-time sweep, no simulation; its event count is the operation
+    count. *)
 
 val find : string -> section option
 
