@@ -103,8 +103,14 @@ let make num den =
 (* fraction (or an int overflow that genuinely leaves the range)      *)
 (* takes the exact gcd-reduced cross-multiplication path.             *)
 
+(* A zero operand returns the other one unchanged: adding a zero clock
+   offset or delay to a fractional time is common in the simulator,
+   and the general path would rebuild the same fraction with two gcds
+   and a fresh block. *)
 let add a b =
-  if is_immediate a && is_immediate b then
+  if b == zero then a
+  else if a == zero then b
+  else if is_immediate a && is_immediate b then
     of_int (checked_add (unsafe_int a) (unsafe_int b))
   else
     (* a/b + c/d over the reduced common denominator lcm(b, d). *)
@@ -121,7 +127,8 @@ let add a b =
         (checked_mul da bd)
 
 let sub a b =
-  if is_immediate a && is_immediate b then
+  if b == zero then a
+  else if is_immediate a && is_immediate b then
     of_int (checked_sub (unsafe_int a) (unsafe_int b))
   else
     let na = num a and da = den a and nb = num b and db = den b in

@@ -57,7 +57,11 @@ val den : t -> int
 (** {1 Arithmetic} *)
 
 val add : t -> t -> t
+(** [add x zero] and [add zero x] return [x] itself (no allocation). *)
+
 val sub : t -> t -> t
+(** [sub x zero] returns [x] itself. *)
+
 val mul : t -> t -> t
 val div : t -> t -> t
 (** @raise Division_by_zero if the divisor is zero. *)

@@ -38,7 +38,12 @@ type ('msg, 'tag, 'inv, 'resp) t = {
   handlers : ('msg, 'tag, 'inv, 'resp) handlers;
   queue : ('msg, 'tag, 'inv) queued Event_queue.t;
   trace : ('msg, 'inv, 'resp) Trace.t;
-  cancelled : (int, unit) Hashtbl.t;
+  (* One state byte per timer id ever issued ([armed], [cancelled] or
+     [resolved]), indexed by id and grown by doubling;
+     [cancelled_pending] counts the [cancelled] ones, whose queue entry
+     is still to be skipped. *)
+  mutable timer_state : Bytes.t;
+  mutable cancelled_pending : int;
   pending : 'inv option array;
   send_seq : int array array;
   (* One ctx per process, built at creation and reused for every
@@ -53,6 +58,13 @@ type ('msg, 'tag, 'inv, 'resp) t = {
 }
 
 exception Step_limit_exceeded of int
+
+(* Timer states.  Only an [armed] timer can be cancelled; its queue
+   entry resolves it either way, so cancelling a fired, skipped or
+   never-issued id leaves the table alone. *)
+let armed = '\000'
+let cancelled = '\001'
+let resolved = '\002'
 
 let create ?(retain_events = true) ?(faults = Fault.none) ~model ~offsets
     ~delay ~handlers () =
@@ -82,7 +94,8 @@ let create ?(retain_events = true) ?(faults = Fault.none) ~model ~offsets
       handlers;
       queue = Event_queue.create ();
       trace = Trace.create ~retain_events ~monitor:model ();
-      cancelled = Hashtbl.create 64;
+      timer_state = Bytes.make 64 resolved;
+      cancelled_pending = 0;
       pending = Array.make n None;
       send_seq = Array.make_matrix n n 0;
       ctxs = [||];
@@ -132,12 +145,11 @@ let send_message t ~src ~dst msg =
      actually travels; a dropped message keeps its Send (with the
      fault-free delay) but gets no Deliver. *)
   (match delays with
-  | [] -> Trace.record t.trace (Send { time = t.now; src; dst; seq; delay; msg })
+  | [] -> Trace.send t.trace ~time:t.now ~src ~dst ~seq ~delay msg
   | delays ->
       List.iter
         (fun delay ->
-          Trace.record t.trace
-            (Send { time = t.now; src; dst; seq; delay; msg });
+          Trace.send t.trace ~time:t.now ~src ~dst ~seq ~delay msg;
           Event_queue.push t.queue ~priority:0
             ~time:(Rat.add t.now delay)
             (Ev_deliver { src; dst; msg }))
@@ -154,14 +166,25 @@ let build_ctx t ~self =
     if Rat.sign dur < 0 then invalid_arg "Engine: negative timer duration";
     let id = t.next_timer_id in
     t.next_timer_id <- id + 1;
+    let capacity = Bytes.length t.timer_state in
+    if id = capacity then begin
+      let grown = Bytes.make (2 * capacity) resolved in
+      Bytes.blit t.timer_state 0 grown 0 capacity;
+      t.timer_state <- grown
+    end;
+    Bytes.set t.timer_state id armed;
     let expiry = Rat.add t.now dur in
-    Trace.record t.trace (Timer_set { time = t.now; proc = self; id; expiry });
+    Trace.timer_set t.trace ~time:t.now ~proc:self ~id ~expiry;
     Event_queue.push t.queue ~time:expiry (Ev_timer { proc = self; id; tag });
     id
   in
   let cancel_timer id =
-    Hashtbl.replace t.cancelled id ();
-    Trace.record t.trace (Timer_cancel { time = t.now; proc = self; id })
+    if id >= 0 && id < t.next_timer_id && Bytes.get t.timer_state id = armed
+    then begin
+      Bytes.set t.timer_state id cancelled;
+      t.cancelled_pending <- t.cancelled_pending + 1
+    end;
+    Trace.timer_cancel t.trace ~time:t.now ~proc:self ~id
   in
   let respond resp =
     match t.pending.(self) with
@@ -234,21 +257,23 @@ let dispatch t event =
       end
   | Ev_deliver { src; dst; msg } ->
       if not (crashed t dst) then begin
-        Trace.record t.trace (Deliver { time = t.now; src; dst; msg });
+        Trace.deliver t.trace ~time:t.now ~src ~dst msg;
         t.handlers.on_receive (get_ctx t ~self:dst) ~src msg
       end
   | Ev_timer { proc; id; tag } ->
-      (* This queue entry is the cancelled id's only consumer: drop the
-         table entry now (whether or not the process also crashed) or a
-         timer-churning run grows [cancelled] without bound. *)
-      let was_cancelled = Hashtbl.mem t.cancelled id in
-      if was_cancelled then Hashtbl.remove t.cancelled id;
+      (* This queue entry resolves the timer whether it fires, was
+         cancelled or its process crashed: a handler that cancels its
+         own firing timer (or any resolved one) then finds it
+         [resolved] and leaves the count alone. *)
+      let was_cancelled = Bytes.get t.timer_state id = cancelled in
+      if was_cancelled then t.cancelled_pending <- t.cancelled_pending - 1;
+      Bytes.set t.timer_state id resolved;
       if (not (crashed t proc)) && not was_cancelled then begin
-        Trace.record t.trace (Timer_fire { time = t.now; proc; id });
+        Trace.timer_fire t.trace ~time:t.now ~proc ~id;
         t.handlers.on_timer (get_ctx t ~self:proc) tag
       end
 
-let cancelled_timers t = Hashtbl.length t.cancelled
+let cancelled_timers t = t.cancelled_pending
 
 exception Deadline_exceeded of { events : int }
 

@@ -95,10 +95,11 @@ val set_response_callback :
     workloads. *)
 
 val cancelled_timers : ('msg, 'tag, 'inv, 'resp) t -> int
-(** Number of cancelled-timer ids whose queue entry has not yet been
-    consumed.  After a completed {!run} this is 0 — the dispatcher
-    drops each id when it skips the cancelled entry — which the leak
-    regression test asserts. *)
+(** Number of cancelled timers whose queue entry has not yet been
+    consumed.  After a completed {!run} this is 0: the dispatcher
+    resolves each timer when its entry pops, and cancelling a timer
+    that already fired (or an id never issued) is a no-op apart from
+    its recorded {!Trace.Timer_cancel}. *)
 
 exception Step_limit_exceeded of int
 

@@ -53,9 +53,18 @@ let total_faults c = c.dropped + c.duplicated + c.spiked + c.crashed + c.skewed
    no accessor re-walks the event list.  The full event list itself is
    just one more sink — the retention sink — and the only one that
    costs O(events) memory; everything else is O(operations) (the
-   pairing sink) or O(1) (counters, delay envelope, admissibility). *)
+   pairing sink) or O(1) (counters, delay envelope, admissibility).
+
+   Counters-only path: when nothing reads whole events ([observed] is
+   false: no retention, no user sink), the engine's per-message and
+   per-timer notifications ({!send}, {!deliver}, {!timer_set},
+   {!timer_fire}, {!timer_cancel}) update the built-in views directly
+   and never build the event record.  [record] routes through the same
+   [note_*] updates, so both paths leave identical views. *)
 type ('msg, 'inv, 'resp) t = {
   retain : bool;
+  (* [retain || extra_sinks <> []]: some consumer needs event records. *)
+  mutable observed : bool;
   mutable rev_events : ('msg, 'inv, 'resp) event list;
   mutable count : int;
   mutable sends : int;
@@ -64,14 +73,17 @@ type ('msg, 'inv, 'resp) t = {
      The at-most-one-pending-operation constraint (§2.2) makes the
      pairing unambiguous. *)
   pending : (int, Rat.t * 'inv) Hashtbl.t;
+  (* Completed operations, latest first.  Each process's completions
+     are in its invocation order (one pending operation at a time). *)
   mutable rev_finished : ('inv, 'resp) operation list;
   mutable finished : int;
   mutable malformed : string option;
   mutable op_observers : (('inv, 'resp) operation -> unit) list;
-  (* Delay envelope: min/max over all sends.  Delay admissibility is an
-     interval test, so the envelope answers [delays_admissible] for any
-     model in O(1). *)
-  mutable delay_env : (Rat.t * Rat.t) option;
+  (* Delay envelope: min/max over all sends, meaningful once
+     [sends > 0].  Delay admissibility is an interval test, so the
+     envelope answers [delays_admissible] for any model in O(1). *)
+  mutable delay_lo : Rat.t;
+  mutable delay_hi : Rat.t;
   (* Admissibility monitor: flags the first out-of-bounds delay as it
      is recorded, against the model fixed at attach time. *)
   mutable monitor : Model.t option;
@@ -85,6 +97,7 @@ type ('msg, 'inv, 'resp) t = {
 let create ?(retain_events = true) ?monitor () =
   {
     retain = retain_events;
+    observed = retain_events;
     rev_events = [];
     count = 0;
     sends = 0;
@@ -94,7 +107,8 @@ let create ?(retain_events = true) ?monitor () =
     finished = 0;
     malformed = None;
     op_observers = [];
-    delay_env = None;
+    delay_lo = Rat.zero;
+    delay_hi = Rat.zero;
     monitor;
     first_violation = None;
     faults = no_faults;
@@ -104,7 +118,9 @@ let create ?(retain_events = true) ?monitor () =
 
 let retains_events t = t.retain
 
-let add_sink t sink = t.extra_sinks <- t.extra_sinks @ [ sink ]
+let add_sink t sink =
+  t.extra_sinks <- t.extra_sinks @ [ sink ];
+  t.observed <- true
 
 let on_operation t f = t.op_observers <- t.op_observers @ [ f ]
 
@@ -118,9 +134,27 @@ let event_time = function
   | Timer_cancel { time; _ }
   | Fault { time; _ } -> time
 
-let record t event =
+let[@inline] note_event t time =
   t.count <- t.count + 1;
-  t.last <- event_time event;
+  t.last <- time
+
+let note_send t ~time ~src ~dst ~seq ~delay =
+  if t.sends = 0 then begin
+    t.delay_lo <- delay;
+    t.delay_hi <- delay
+  end
+  else begin
+    t.delay_lo <- Rat.min t.delay_lo delay;
+    t.delay_hi <- Rat.max t.delay_hi delay
+  end;
+  t.sends <- t.sends + 1;
+  match (t.monitor, t.first_violation) with
+  | Some model, None when not (Model.delay_valid model delay) ->
+      t.first_violation <- Some { at = time; src; dst; seq; delay }
+  | _ -> ()
+
+let record t event =
+  note_event t (event_time event);
   (match event with
   | Invoke { time; proc; inv } ->
       if t.malformed = None then
@@ -141,17 +175,7 @@ let record t event =
             t.finished <- t.finished + 1;
             List.iter (fun observe -> observe op) t.op_observers)
   | Send { time; src; dst; seq; delay; _ } ->
-      t.sends <- t.sends + 1;
-      t.delay_env <-
-        (match t.delay_env with
-        | None -> Some (delay, delay)
-        | Some (lo, hi) -> Some (Rat.min lo delay, Rat.max hi delay));
-      (match t.monitor with
-      | Some model
-        when t.first_violation = None && not (Model.delay_valid model delay)
-        ->
-          t.first_violation <- Some { at = time; src; dst; seq; delay }
-      | _ -> ())
+      note_send t ~time ~src ~dst ~seq ~delay
   | Deliver _ -> t.delivers <- t.delivers + 1
   | Fault { fault; _ } ->
       let c = t.faults in
@@ -165,6 +189,32 @@ let record t event =
   | Timer_set _ | Timer_fire _ | Timer_cancel _ -> ());
   if t.retain then t.rev_events <- event :: t.rev_events;
   List.iter (fun sink -> sink.on_event event) t.extra_sinks
+
+let send t ~time ~src ~dst ~seq ~delay msg =
+  if t.observed then record t (Send { time; src; dst; seq; delay; msg })
+  else begin
+    note_event t time;
+    note_send t ~time ~src ~dst ~seq ~delay
+  end
+
+let deliver t ~time ~src ~dst msg =
+  if t.observed then record t (Deliver { time; src; dst; msg })
+  else begin
+    note_event t time;
+    t.delivers <- t.delivers + 1
+  end
+
+let timer_set t ~time ~proc ~id ~expiry =
+  if t.observed then record t (Timer_set { time; proc; id; expiry })
+  else note_event t time
+
+let timer_fire t ~time ~proc ~id =
+  if t.observed then record t (Timer_fire { time; proc; id })
+  else note_event t time
+
+let timer_cancel t ~time ~proc ~id =
+  if t.observed then record t (Timer_cancel { time; proc; id })
+  else note_event t time
 
 let of_events events =
   let t = create () in
@@ -181,11 +231,47 @@ let last_time t = t.last
 let check_well_formed t =
   match t.malformed with None -> () | Some msg -> invalid_arg msg
 
+(* Invocation-time order, ties in completion order: the list a stable
+   sort of the completions by [inv_time] gives, built as a merge
+   instead.  Each process's completions are already in its invocation
+   order, so the list is assembled back to front by repeatedly taking
+   the greatest (inv_time, completion index) among the processes'
+   last unmerged completions. *)
 let operations t =
   check_well_formed t;
-  List.stable_sort
-    (fun a b -> Rat.compare a.inv_time b.inv_time)
-    (List.rev t.rev_finished)
+  match t.rev_finished with
+  | [] -> []
+  | last :: _ ->
+      let n = t.finished in
+      let ops = Array.make n last in
+      List.iteri (fun k op -> ops.(n - 1 - k) <- op) t.rev_finished;
+      let procs = 1 + Array.fold_left (fun m op -> Stdlib.max m op.proc) 0 ops in
+      (* [tail.(p)]: process p's last unmerged completion, or -1;
+         [prev.(i)]: the completion before [i] at the same process. *)
+      let tail = Array.make procs (-1) and prev = Array.make n (-1) in
+      Array.iteri
+        (fun i op ->
+          prev.(i) <- tail.(op.proc);
+          tail.(op.proc) <- i)
+        ops;
+      let later i j =
+        j < 0
+        || i >= 0
+           &&
+           let c = Rat.compare ops.(i).inv_time ops.(j).inv_time in
+           c > 0 || (c = 0 && i > j)
+      in
+      let acc = ref [] in
+      for _ = 1 to n do
+        let best = ref 0 in
+        for p = 1 to procs - 1 do
+          if later tail.(p) tail.(!best) then best := p
+        done;
+        let i = tail.(!best) in
+        acc := ops.(i) :: !acc;
+        tail.(!best) <- prev.(i)
+      done;
+      !acc
 
 let pending_invocations t =
   check_well_formed t;
@@ -200,14 +286,15 @@ let message_delays t =
       | Timer_cancel _ | Fault _ -> None)
     (events t)
 
-let delay_bounds t = t.delay_env
+let delay_bounds t =
+  if t.sends = 0 then None else Some (t.delay_lo, t.delay_hi)
 
 (* The envelope suffices: all delays lie in [d - u, d] iff the extreme
    ones do. *)
 let delays_admissible model t =
-  match t.delay_env with
-  | None -> true
-  | Some (lo, hi) -> Model.delay_valid model lo && Model.delay_valid model hi
+  t.sends = 0
+  || Model.delay_valid model t.delay_lo
+     && Model.delay_valid model t.delay_hi
 
 let monitor_admissibility t model =
   t.monitor <- Some model;

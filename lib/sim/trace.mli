@@ -104,6 +104,40 @@ val record : ('msg, 'inv, 'resp) t -> ('msg, 'inv, 'resp) event -> unit
     overlapping invocation, a response without an invocation) are
     remembered and reported by the pairing accessors, not raised here. *)
 
+(** {2 Per-message and per-timer notifications}
+
+    Equivalent to {!record} of the corresponding event.  When no
+    consumer needs whole events (retention off and no {!add_sink}
+    sink) they update the counters, the delay envelope and the
+    admissibility monitor directly and build no event record: the
+    simulator's hot path calls these. *)
+
+val send :
+  ('msg, 'inv, 'resp) t ->
+  time:Rat.t ->
+  src:int ->
+  dst:int ->
+  seq:int ->
+  delay:Rat.t ->
+  'msg ->
+  unit
+
+val deliver :
+  ('msg, 'inv, 'resp) t -> time:Rat.t -> src:int -> dst:int -> 'msg -> unit
+
+val timer_set :
+  ('msg, 'inv, 'resp) t ->
+  time:Rat.t ->
+  proc:int ->
+  id:int ->
+  expiry:Rat.t ->
+  unit
+
+val timer_fire : ('msg, 'inv, 'resp) t -> time:Rat.t -> proc:int -> id:int -> unit
+
+val timer_cancel :
+  ('msg, 'inv, 'resp) t -> time:Rat.t -> proc:int -> id:int -> unit
+
 val add_sink : ('msg, 'inv, 'resp) t -> ('msg, 'inv, 'resp) sink -> unit
 (** Attach a user sink; it sees events recorded from now on. *)
 

@@ -307,6 +307,74 @@ let test_cancelled_table_drains_after_crash () =
   Alcotest.(check int) "cancelled table drained despite crash" 0
     (Sim.Engine.cancelled_timers e)
 
+(* Cancelling a timer that already fired (here: the firing timer's own
+   id, from inside its handler) or an id never issued is a no-op for
+   the cancelled-timer table, yet each call is still recorded as a
+   Timer_cancel event. *)
+let test_cancel_own_firing_timer () =
+  let own = ref (-1) in
+  let on_invoke (ctx : (unit, string, string) Sim.Engine.ctx) _ =
+    own := ctx.set_timer_after Rat.one "self"
+  in
+  let on_timer (ctx : (unit, string, string) Sim.Engine.ctx) _ =
+    ctx.cancel_timer !own;
+    ctx.cancel_timer 1_000;
+    ctx.respond "done"
+  in
+  let e =
+    Sim.Engine.create ~model ~offsets:(Array.make 3 Rat.zero)
+      ~delay:(Sim.Net.constant (rat 8 1))
+      ~handlers:{ on_invoke; on_receive = (fun _ ~src:_ () -> ()); on_timer }
+      ()
+  in
+  Sim.Engine.schedule_invoke e ~at:Rat.zero ~proc:0 "go";
+  Sim.Engine.run e;
+  Alcotest.(check int) "no cancelled entry left" 0
+    (Sim.Engine.cancelled_timers e);
+  let cancels =
+    List.filter
+      (function Sim.Trace.Timer_cancel _ -> true | _ -> false)
+      (Sim.Trace.events (Sim.Engine.trace e))
+  in
+  Alcotest.(check int) "both cancels recorded" 2 (List.length cancels);
+  Alcotest.(check int) "operation completed" 1
+    (Sim.Trace.operation_count (Sim.Engine.trace e))
+
+(* Algorithm 1's Execute handler drains its own entry and cancels the
+   timer that is firing; a queue run must still leave the table empty
+   (it grew by tens of thousands of entries on a 20k-op run when such
+   cancels were inserted). *)
+let test_wtlw_queue_run_leaves_no_cancelled_timers () =
+  let module Q = Spec.Fifo_queue in
+  let module A = Core.Wtlw.Make (Q) in
+  let run_model = Sim.Model.make_optimal_eps ~n:4 ~d:(rat 12 1) ~u:(rat 4 1) in
+  let cluster =
+    A.create ~retain_events:false ~model:run_model ~x:(rat 9 2)
+      ~offsets:[| Rat.zero; rat 1 1; rat (-1) 1; rat 1 2 |]
+      ~delay:(Sim.Net.random_model ~seed:3 run_model)
+      ()
+  in
+  let e = cluster.engine in
+  let rng = Random.State.make [| 3 |] in
+  let left = Array.make 4 500 in
+  let next ~proc ~at =
+    if left.(proc) > 0 then begin
+      left.(proc) <- left.(proc) - 1;
+      Sim.Engine.schedule_invoke e ~at ~proc (Q.gen_invocation rng)
+    end
+  in
+  Sim.Engine.set_response_callback e (fun ~proc ~inv:_ ~resp:_ ~time ->
+      next ~proc ~at:(Rat.add time (rat 1 2)));
+  for proc = 0 to 3 do
+    next ~proc ~at:Rat.zero
+  done;
+  Sim.Engine.run e;
+  let trace = Sim.Engine.trace e in
+  Alcotest.(check int) "every operation completed" 2000
+    (Sim.Trace.operation_count trace);
+  Alcotest.(check int) "no cancelled entry left" 0
+    (Sim.Engine.cancelled_timers e)
+
 let () =
   Alcotest.run "engine"
     [
@@ -334,5 +402,9 @@ let () =
             test_cancelled_table_drains;
           Alcotest.test_case "cancelled table drains after crash" `Quick
             test_cancelled_table_drains_after_crash;
+          Alcotest.test_case "cancel own firing timer" `Quick
+            test_cancel_own_firing_timer;
+          Alcotest.test_case "wtlw queue run leaves no cancelled timers"
+            `Quick test_wtlw_queue_run_leaves_no_cancelled_timers;
         ] );
     ]

@@ -267,6 +267,16 @@ let properties =
         && (b = 0
            || Rat.equal (Rat.div (Rat.of_int a) (Rat.of_int b)) (rat a b))
         && Rat.compare (Rat.of_int a) (Rat.of_int b) = Int.compare a b);
+    prop "zero operand returns the other operand itself" 500 arb_rat
+      (fun x ->
+        (* The general path: a/b + 0/1 over the common denominator b. *)
+        let cross op = rat (op (Rat.num x * 1) (0 * Rat.den x)) (Rat.den x) in
+        Rat.add x Rat.zero == x
+        && Rat.add Rat.zero x == x
+        && Rat.sub x Rat.zero == x
+        && Rat.equal (Rat.add x Rat.zero) (cross ( + ))
+        && Rat.equal (Rat.sub x Rat.zero) (cross ( - ))
+        && Rat.equal (Rat.sub Rat.zero x) (Rat.neg x));
     prop "mixed immediate/frac arithmetic consistent" 500
       QCheck.(
         pair (int_range (-100) 100)
