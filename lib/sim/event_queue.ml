@@ -113,7 +113,7 @@ let rec sift_down q i =
     sift_down q !smallest
   end
 
-let push (q : 'a t) ?(priority = 1) ~time (x : 'a) =
+let push_class (q : 'a t) ~priority ~time (x : 'a) =
   grow q;
   let i = q.size in
   q.times.(i) <- time;
@@ -124,12 +124,18 @@ let push (q : 'a t) ?(priority = 1) ~time (x : 'a) =
   sift_up q;
   q.size <- q.size + 1
 
+let push q ?(priority = 1) ~time x = push_class q ~priority ~time x
+
 let is_empty q = q.size = 0
 let length q = q.size
 
 let min_time q =
   if q.size = 0 then invalid_arg "Event_queue.min_time: empty queue"
   else q.times.(0)
+
+let min_priority q =
+  if q.size = 0 then invalid_arg "Event_queue.min_priority: empty queue"
+  else q.klasses.(0)
 
 let pop_min (q : 'a t) : 'a =
   if q.size = 0 then invalid_arg "Event_queue.pop_min: empty queue"

@@ -21,12 +21,20 @@ val push : 'a t -> ?priority:int -> time:Rat.t -> 'a -> unit
     visible to the timer's handler — delays are drawn from the closed
     interval [[d - u, d]], so boundary arrivals are legitimate. *)
 
+val push_class : 'a t -> priority:int -> time:Rat.t -> 'a -> unit
+(** {!push} with the priority passed directly: a computed priority
+    then allocates no option box. *)
+
 val pop : 'a t -> (Rat.t * 'a) option
 (** Remove and return the earliest event, FIFO among equal times. *)
 
 val min_time : 'a t -> Rat.t
 (** Time of the earliest event, without removing it and without
     allocating.  @raise Invalid_argument on an empty queue. *)
+
+val min_priority : 'a t -> int
+(** Priority of the earliest event, without removing it.
+    @raise Invalid_argument on an empty queue. *)
 
 val pop_min : 'a t -> 'a
 (** Remove and return the earliest event's payload (the allocation-free
